@@ -143,8 +143,9 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
       static_cast<size_t>(search::resolveThreads(Config.Search.Threads)));
   search::TemplateProbeFactory Factory = [&](int Worker) {
     ProbeState *State = &States[static_cast<size_t>(Worker)];
-    State->V = std::make_unique<validate::Validator>(
-        B, Examples, Summary.Constants, Config.UseVm, Config.UseVmOpt);
+    State->V = std::make_unique<validate::Validator>(B, Examples,
+                                                     Summary.Constants,
+                                                     Config.UseVm);
     return search::TemplateProbe(
         [State, &B, &Fn, &Verify, &Config](const taco::Program &Template) {
           std::vector<validate::Instantiation> Valid =

@@ -121,12 +121,14 @@ struct StaggConfig {
   /// cached serve results always record which engine produced them.
   bool UseVm = true;
 
-  /// Run vm::optimize over every compiled program (load hoisting, fused
-  /// span superinstructions, dead-register elimination) before execution.
-  /// Results are bit-identical with the raw stream — the passes preserve
-  /// accumulation order exactly (`--no-vm-opt` flips this off for A/B
-  /// runs); fingerprinted for the same record-keeping reason as UseVm.
-  /// Ignored when UseVm is false.
+  /// Run vm::optimize over the programs the bounded verifier and `execute`
+  /// compile (load hoisting, fused span superinstructions, dead-register
+  /// elimination) before execution. The validator always runs the raw
+  /// stream: it evaluates each template only a few times on tiny examples,
+  /// so optimizing would cost more than it saves. Results are bit-identical
+  /// with the raw stream — the passes preserve accumulation order exactly
+  /// (`--no-vm-opt` flips this off for A/B runs); fingerprinted for the
+  /// same record-keeping reason as UseVm. Ignored when UseVm is false.
   bool UseVmOpt = true;
 
   /// Serving-layer knobs (queue depth, batching, result cache).

@@ -7,7 +7,6 @@
 #include "search/Penalty.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <queue>
 #include <utility>
@@ -24,6 +23,8 @@ struct ChainState {
   uint64_t Seq = 0;
   std::vector<const grammar::TensorRule *> Leaves;
   std::vector<BinOpKind> Ops; ///< Ops.size() == Leaves.size() - 1.
+  SymbolOrder Tensors;        ///< The non-constant leaves' symbols (b1).
+  OpSet OpsUsed = 0;          ///< The distinct operators of Ops (b2).
 };
 
 struct ChainGreater {
@@ -52,22 +53,6 @@ ExprPtr chainToExpr(const ChainState &S) {
   return foldPrecedenceChain(std::move(Leaves), S.Ops);
 }
 
-std::vector<std::string> chainSymbols(const ChainState &S) {
-  std::vector<std::string> Symbols;
-  for (const grammar::TensorRule *R : S.Leaves)
-    if (!R->IsConst)
-      Symbols.push_back(R->Symbol);
-  return Symbols;
-}
-
-std::vector<BinOpKind> chainDistinctOps(const ChainState &S) {
-  std::vector<BinOpKind> Ops;
-  for (BinOpKind Op : S.Ops)
-    if (std::find(Ops.begin(), Ops.end(), Op) == Ops.end())
-      Ops.push_back(Op);
-  return Ops;
-}
-
 /// Algorithm 2 as a resumable generator — same mechanics as the top-down
 /// TopDownEnumerator: probe call sites become yield points, and since probe
 /// outcomes never fed back into the queue, the pop order and counters are
@@ -76,7 +61,7 @@ class BottomUpEnumerator : public CandidateStream {
 public:
   BottomUpEnumerator(const grammar::TemplateGrammar &G,
                      const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G),
+      : G(G), Config(Config), Costs(G), Symbols(G),
         RhsSlots(static_cast<int>(G.DimList.size()) - 1) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
@@ -136,7 +121,7 @@ public:
       if (Current.Leaves.empty()) {
         for (const grammar::TensorRule *Rule : Rules) {
           ChainState Child = Current;
-          Child.Leaves.push_back(Rule);
+          addLeaf(Child, *Rule);
           Child.C += Rule->Cost;
           push(std::move(Child));
         }
@@ -149,7 +134,8 @@ public:
         for (const grammar::TensorRule *Rule : Rules) {
           ChainState Child = Current;
           Child.Ops.push_back(Op);
-          Child.Leaves.push_back(Rule);
+          Child.OpsUsed |= opBit(Op);
+          addLeaf(Child, *Rule);
           Child.C += OpCost + Rule->Cost;
           push(std::move(Child));
         }
@@ -164,10 +150,16 @@ public:
   double seconds() const override { return Clock.seconds(); }
 
 private:
+  void addLeaf(ChainState &S, const grammar::TensorRule &Rule) const {
+    S.Leaves.push_back(&Rule);
+    if (!Rule.IsConst)
+      Symbols.note(S.Tensors, Symbols.id(Rule));
+  }
+
   void push(ChainState S) {
-    double Penalty = bottomUpPenalty(chainSymbols(S), chainDistinctOps(S),
-                                     static_cast<int>(S.Leaves.size()), G,
-                                     Config);
+    double Penalty =
+        bottomUpPenalty(S.Tensors, S.OpsUsed,
+                        static_cast<int>(S.Leaves.size()), G, Config);
     if (std::isinf(Penalty))
       return;
     size_t Filled = S.Leaves.size();
@@ -188,6 +180,7 @@ private:
   const SearchConfig &Config;
   Timer Clock;
   CostModel Costs;
+  SymbolTable Symbols;
   const int RhsSlots;
   std::vector<double> SuffixCost;
   std::priority_queue<ChainState, std::vector<ChainState>, ChainGreater> Queue;

@@ -18,11 +18,12 @@ using namespace stagg::search;
 
 namespace {
 
+/// A queued state. The item holds one reference to State.
 struct Item {
   double F = 0;
   double C = 0;
   uint64_t Seq = 0;
-  std::unique_ptr<TNode> Root;
+  DerivationState *State = nullptr;
 };
 
 /// Min-heap ordering on F with FIFO tie-breaking (std::*_heap builds a
@@ -42,14 +43,15 @@ struct ItemGreater {
 class TopDownEnumerator : public CandidateStream {
 public:
   TopDownEnumerator(const grammar::TemplateGrammar &G,
-                    const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G) {
+                    const SearchConfig &Config, StateObserver Observer = {})
+      : G(G), Config(Config), Costs(G), Symbols(G), Pool(Symbols),
+        Observer(std::move(Observer)) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
       Reason = "empty grammar (no usable LLM candidates)";
       return;
     }
-    push(0, TNode::hole());
+    admit(0, Pool.root());
   }
 
   bool next(Candidate &Out) override {
@@ -63,68 +65,20 @@ public:
         return fail("budget exhausted");
 
       std::pop_heap(Heap.begin(), Heap.end(), Cmp);
-      Item Current = std::move(Heap.back());
+      Item Current = Heap.back();
       Heap.pop_back();
       ++Expansions;
-
-      StateMetrics M = computeMetrics(*Current.Root);
-      if (M.Depth > Config.MaxDepth)
-        continue; // Algorithm 1, line 5.
-
-      Frontier F = leftmostNonterminal(*Current.Root);
-      if (F.K == Frontier::Kind::None) {
+      bool Yield = expand(Current);
+      if (Yield) {
         // Complete template: yield it for validation + verification.
         Out.Ticket = NextTicket++;
-        Out.Program = taco::Program(G.Lhs, treeToExpr(*Current.Root));
+        Out.Program = taco::Program(G.Lhs, treeToExpr(*Current.State));
         Out.AttemptsAtYield = ++Attempts;
         Out.ExpansionsAtYield = Expansions;
+      }
+      Pool.release(Current.State);
+      if (Yield)
         return true;
-      }
-
-      if (F.K == Frontier::Kind::OpHole) {
-        static const taco::BinOpKind Ops[] = {
-            taco::BinOpKind::Add, taco::BinOpKind::Sub, taco::BinOpKind::Mul,
-            taco::BinOpKind::Div};
-        for (taco::BinOpKind Op : Ops) {
-          std::unique_ptr<TNode> Child = Current.Root->clone();
-          Frontier CF = leftmostNonterminal(*Child);
-          CF.Node->Op = Op;
-          CF.Node->OpKnown = true;
-          push(Current.C + Costs.costOp(Op), std::move(Child));
-        }
-        continue;
-      }
-
-      // EXPR hole: TENSOR / CONSTANT / EXPR OP EXPR.
-      for (const grammar::TensorRule &Rule : G.TensorRules) {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Leaf;
-        CF.Node->Rule = &Rule;
-        double RuleCost = Rule.IsConst ? Costs.costExprConst()
-                                       : Costs.costExprTensor() + Rule.Cost;
-        push(Current.C + RuleCost, std::move(Child));
-      }
-      {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Bin;
-        CF.Node->OpKnown = false;
-        CF.Node->Lhs = TNode::hole();
-        CF.Node->Rhs = TNode::hole();
-        push(Current.C + Costs.costExprBin(), std::move(Child));
-      }
-      // EXPR -> max(EXPR, EXPR), only when candidates supplied the
-      // evidence — max-free grammars expand exactly the pre-max state space
-      // in the same order.
-      if (G.HasMaxRule) {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Max;
-        CF.Node->Lhs = TNode::hole();
-        CF.Node->Rhs = TNode::hole();
-        push(Current.C + Costs.costExprMax(), std::move(Child));
-      }
     }
     return fail("search space exhausted");
   }
@@ -135,20 +89,67 @@ public:
   double seconds() const override { return Clock.seconds(); }
 
 private:
-  void push(double C, std::unique_ptr<TNode> Root) {
-    StateMetrics M = computeMetrics(*Root);
+  /// Pushes the children of a popped state, or returns true when the state
+  /// is a complete template to yield.
+  bool expand(const Item &Current) {
+    DerivationState *State = Current.State;
+    if (State->metrics().Depth > Config.MaxDepth)
+      return false; // Algorithm 1, line 5.
+
+    const OpenSlot *Slot = State->leftmost();
+    if (!Slot)
+      return true;
+
+    if (Slot->K == OpenSlot::Kind::Op) {
+      static const taco::BinOpKind Ops[] = {
+          taco::BinOpKind::Add, taco::BinOpKind::Sub, taco::BinOpKind::Mul,
+          taco::BinOpKind::Div};
+      for (taco::BinOpKind Op : Ops)
+        push(Current.C + Costs.costOp(Op), State, Production::op(Op));
+      return false;
+    }
+
+    // EXPR hole: TENSOR / CONSTANT / EXPR OP EXPR.
+    for (const grammar::TensorRule &Rule : G.TensorRules) {
+      double RuleCost = Rule.IsConst ? Costs.costExprConst()
+                                     : Costs.costExprTensor() + Rule.Cost;
+      push(Current.C + RuleCost, State, Production::leaf(Rule));
+    }
+    push(Current.C + Costs.costExprBin(), State, Production::bin());
+    // EXPR -> max(EXPR, EXPR), only when candidates supplied the
+    // evidence — max-free grammars expand exactly the pre-max state space
+    // in the same order.
+    if (G.HasMaxRule)
+      push(Current.C + Costs.costExprMax(), State, Production::max());
+    return false;
+  }
+
+  void push(double C, DerivationState *Parent, const Production &P) {
+    admit(C, Pool.derive(Parent, P));
+  }
+
+  /// Queues \p State (taking over the caller's reference) unless its
+  /// penalty or cost is infinite.
+  void admit(double C, DerivationState *State) {
+    const StateMetrics &M = State->metrics();
     double Penalty = topDownPenalty(M, G, Config);
-    if (std::isinf(Penalty))
+    if (Observer)
+      Observer(*State, Penalty);
+    if (std::isinf(Penalty)) {
+      Pool.release(State);
       return;
+    }
     double G2 = M.Holes * Costs.holeCharge() + M.OpHoles * Costs.opHoleCharge();
     Item It;
     It.F = C + G2 + Penalty;
     It.C = C;
     It.Seq = NextSeq++;
-    It.Root = std::move(Root);
-    if (std::isinf(It.F))
+    It.State = State;
+    if (std::isinf(It.F)) {
+      Pool.release(State);
       return;
-    Heap.push_back(std::move(It));
+    }
+    Heap.push_back(It);
     std::push_heap(Heap.begin(), Heap.end(), Cmp);
   }
 
@@ -162,6 +163,9 @@ private:
   const SearchConfig &Config;
   Timer Clock;
   CostModel Costs;
+  SymbolTable Symbols;
+  DerivationPool Pool;
+  StateObserver Observer;
   std::vector<Item> Heap;
   ItemGreater Cmp;
   uint64_t NextSeq = 0;
@@ -176,8 +180,9 @@ private:
 
 std::unique_ptr<CandidateStream>
 search::makeTopDownStream(const grammar::TemplateGrammar &G,
-                          const SearchConfig &Config) {
-  return std::make_unique<TopDownEnumerator>(G, Config);
+                          const SearchConfig &Config,
+                          StateObserver Observer) {
+  return std::make_unique<TopDownEnumerator>(G, Config, std::move(Observer));
 }
 
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,

@@ -19,12 +19,19 @@
 #include "grammar/Pcfg.h"
 #include "search/SearchTypes.h"
 
+#include <functional>
 #include <memory>
 
 namespace stagg {
 namespace search {
 
 class CandidateStream;
+class DerivationState;
+
+/// Sees every state the enumerator derives, with its penalty, before the
+/// state is queued or pruned. Lets tests audit the incremental metrics.
+using StateObserver =
+    std::function<void(const DerivationState &State, double Penalty)>;
 
 /// Runs the top-down enumeration. \p Probe is invoked on every complete
 /// template; returning true ends the search successfully. The single probe
@@ -39,9 +46,11 @@ SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const TemplateProbeFactory &Factory);
 
 /// The bare enumeration as a stream of complete candidates in serial probe
-/// order, for callers that drive the frontier themselves.
+/// order, for callers that drive the frontier themselves. \p Observer, when
+/// set, is called on every derived state.
 std::unique_ptr<CandidateStream>
-makeTopDownStream(const grammar::TemplateGrammar &G, const SearchConfig &Config);
+makeTopDownStream(const grammar::TemplateGrammar &G, const SearchConfig &Config,
+                  StateObserver Observer = {});
 
 } // namespace search
 } // namespace stagg

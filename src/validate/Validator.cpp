@@ -5,7 +5,6 @@
 #include "taco/Einsum.h"
 #include "taco/Semantics.h"
 #include "vm/Compiler.h"
-#include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
 #include <cmath>
@@ -66,50 +65,65 @@ taco::Program validate::instantiateTemplate(
 }
 
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-                     std::vector<int64_t> Constants, bool UseVm, bool UseVmOpt)
+                     std::vector<int64_t> Constants, bool UseVm, bool)
     : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
-      UseVm(UseVm), UseVmOpt(UseVmOpt) {
+      UseVm(UseVm) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
   if (this->Constants.empty())
     this->Constants.push_back(1);
-}
 
-void Validator::ensureOperandCache() const {
-  if (OperandCacheReady)
-    return;
-  OperandCacheReady = true;
-  const bench::ArgSpec *OutArg = B.outputArg();
-  OperandCache.reserve(Examples.size());
-  for (const IoExample &Ex : Examples) {
-    ExampleEval Eval;
-    for (const bench::ArgSpec &Arg : B.Args) {
+  size_t NumArgs = B.Args.size();
+  for (size_t A = 0; A < NumArgs; ++A) {
+    const bench::ArgSpec &Arg = B.Args[A];
+    if (Arg.IsOutput && OutArg < 0)
+      OutArg = static_cast<int>(A);
+    size_t Rank = static_cast<size_t>(Arg.rank());
+    if (ArgsOfRank.size() <= Rank)
+      ArgsOfRank.resize(Rank + 1);
+    ArgsOfRank[Rank].push_back(static_cast<int>(A));
+  }
+
+  PerExample.resize(this->Examples.size());
+  for (size_t E = 0; E < this->Examples.size(); ++E) {
+    const IoExample &Ex = this->Examples[E];
+    ExampleEval &Eval = PerExample[E];
+    Eval.Operands.resize(NumArgs);
+    Eval.Operand.assign(NumArgs, nullptr);
+    Eval.Shapes.resize(NumArgs);
+    for (size_t A = 0; A < NumArgs; ++A) {
+      const bench::ArgSpec &Arg = B.Args[A];
+      Eval.Shapes[A] = resolveShape(Arg, Ex.Sizes);
+      // A missing operand stays null: evaluating a candidate that reads it
+      // fails as "unbound".
       if (Arg.K == bench::ArgSpec::Kind::Array) {
         auto It = Ex.Inputs.Arrays.find(Arg.Name);
         if (It == Ex.Inputs.Arrays.end())
-          continue; // eval of a candidate reading it fails as "unbound"
-        Tensor<double> T(resolveShape(Arg, Ex.Sizes));
+          continue;
+        Tensor<double> T(Eval.Shapes[A]);
         T.flat() = It->second;
-        Eval.Operands.emplace(Arg.Name, std::move(T));
+        Eval.Operands[A] = std::move(T);
       } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
         auto It = Ex.Sizes.find(Arg.Name);
         if (It == Ex.Sizes.end())
           continue;
-        Eval.Operands.emplace(
-            Arg.Name, Tensor<double>::scalar(static_cast<double>(It->second)));
+        Eval.Operands[A] =
+            Tensor<double>::scalar(static_cast<double>(It->second));
       } else {
         auto It = Ex.Inputs.NumScalars.find(Arg.Name);
         if (It == Ex.Inputs.NumScalars.end())
           continue;
-        Eval.Operands.emplace(Arg.Name, Tensor<double>::scalar(It->second));
+        Eval.Operands[A] = Tensor<double>::scalar(It->second);
       }
+      Eval.Operand[A] = &Eval.Operands[A];
     }
-    if (OutArg)
-      Eval.OutShape = resolveShape(*OutArg, Ex.Sizes);
-    OperandCache.push_back(std::move(Eval));
+    if (OutArg >= 0)
+      Eval.OutShape = Eval.Shapes[static_cast<size_t>(OutArg)];
   }
 }
+
+Validator::~Validator() = default;
 
 namespace {
 
@@ -200,217 +214,203 @@ bool validate::runsConsistently(const bench::Benchmark &B,
 
 namespace {
 
-/// One distinct RHS tensor symbol with every access spelled against it.
-struct SymbolAccesses {
-  std::string Name;
-  int Order = 0; ///< Rank of the first occurrence (the rank filter's key).
-  std::vector<const AccessExpr *> Leaves;
+/// The template with every symbolic constant replaced by a mutable literal
+/// node, so the constant odometer can sweep assignments in place instead of
+/// re-cloning the template.
+struct ConstantSlots {
+  Program Concrete;
+  std::vector<ConstantExpr *> Nodes; ///< In leaf (substitution) order.
 };
 
-/// Collects the RHS access leaves grouped per symbol, in order of first
-/// appearance (the same order tensorInventory reports them).
-void collectSymbolAccesses(const Expr &E, std::vector<SymbolAccesses> &Out) {
+ExprPtr withConstantSlots(const Expr &E, std::vector<ConstantExpr *> &Nodes) {
   switch (E.kind()) {
-  case Expr::Kind::Access: {
-    const auto &A = exprCast<AccessExpr>(E);
-    for (SymbolAccesses &S : Out) {
-      if (S.Name == A.name()) {
-        S.Leaves.push_back(&A);
-        return;
-      }
-    }
-    SymbolAccesses S;
-    S.Name = A.name();
-    S.Order = static_cast<int>(A.order());
-    S.Leaves.push_back(&A);
-    Out.push_back(std::move(S));
-    return;
+  case Expr::Kind::Access:
+    return E.clone();
+  case Expr::Kind::Constant: {
+    const auto &C = exprCast<ConstantExpr>(E);
+    if (!C.isSymbolic())
+      return C.clone();
+    auto Node = std::make_unique<ConstantExpr>(0);
+    Nodes.push_back(Node.get());
+    return Node;
   }
   case Expr::Kind::Binary: {
     const auto &B = exprCast<BinaryExpr>(E);
-    collectSymbolAccesses(B.lhs(), Out);
-    collectSymbolAccesses(B.rhs(), Out);
-    return;
+    ExprPtr Lhs = withConstantSlots(B.lhs(), Nodes);
+    ExprPtr Rhs = withConstantSlots(B.rhs(), Nodes);
+    return std::make_unique<BinaryExpr>(B.op(), std::move(Lhs),
+                                        std::move(Rhs));
   }
   case Expr::Kind::Negate:
-    collectSymbolAccesses(exprCast<NegateExpr>(E).operand(), Out);
-    return;
+    return std::make_unique<NegateExpr>(
+        withConstantSlots(exprCast<NegateExpr>(E).operand(), Nodes));
   case Expr::Kind::Max: {
     const auto &M = exprCast<MaxExpr>(E);
-    collectSymbolAccesses(M.lhs(), Out);
-    collectSymbolAccesses(M.rhs(), Out);
-    return;
+    ExprPtr Lhs = withConstantSlots(M.lhs(), Nodes);
+    ExprPtr Rhs = withConstantSlots(M.rhs(), Nodes);
+    return std::make_unique<MaxExpr>(std::move(Lhs), std::move(Rhs));
   }
-  case Expr::Kind::Constant:
-    return;
   }
+  return nullptr;
 }
 
-/// The template with symbol names bound to argument names and every symbolic
-/// constant replaced by a mutable literal node, so the constant odometer can
-/// sweep assignments in place instead of re-cloning the template.
-struct BoundTemplate {
-  Program Concrete;
-  std::vector<ConstantExpr *> ConstNodes; ///< In leaf (substitution) order.
-};
+/// Index of \p Name in \p Names, appending it when absent.
+int intern(std::vector<const std::string *> &Names, const std::string &Name) {
+  for (size_t I = 0; I < Names.size(); ++I)
+    if (*Names[I] == Name)
+      return static_cast<int>(I);
+  Names.push_back(&Name);
+  return static_cast<int>(Names.size()) - 1;
+}
 
-BoundTemplate bindSymbols(const Program &Template,
-                          const std::map<std::string, std::string> &Binding) {
-  BoundTemplate Bound;
-  std::function<ExprPtr(const Expr &)> Rewrite =
-      [&](const Expr &E) -> ExprPtr {
+} // namespace
+
+/// Flat, index-keyed tables of one validate() call. Vectors keep their
+/// capacity across calls, so a warm Validator allocates only for the
+/// compiled template and the instantiations that pass.
+struct Validator::Scratch {
+  /// Distinct RHS tensor symbols in order of first appearance (the order
+  /// tensorInventory reports them), pointing into the template.
+  std::vector<const std::string *> Symbols;
+  std::vector<int> SymbolRank; ///< Rank of each symbol's first access.
+  /// Access leaves in walk order, with their symbol and index-variable ids
+  /// (LeafVars[VarsAt[L] ...] for Leaves[L]->order() positions).
+  std::vector<const AccessExpr *> Leaves;
+  std::vector<int> LeafSymbol;
+  std::vector<size_t> VarsAt;
+  std::vector<int> LeafVars;
+  std::vector<const std::string *> Vars;
+  std::vector<int> LhsVars;
+  int ConstLeaves = 0;
+
+  /// BaseExtents[E * NumVars + V]: extents pinned by the output shape.
+  std::vector<int64_t> BaseExtents;
+  std::vector<int64_t> Local;
+
+  /// The symbols still to bind (everything but the LHS symbol), their
+  /// shape-compatible argument options (Options[OptionsAt[S] ...]), and the
+  /// unpinned (var, extent) pairs each option imposes per example:
+  /// Constraints[ConstraintsAt[O * NumExamples + E] ...] for option O
+  /// (an index into Options).
+  std::vector<int> Bound;
+  std::vector<size_t> OptionsAt;
+  std::vector<int> Options;
+  std::vector<size_t> ConstraintsAt;
+  std::vector<std::pair<int, int64_t>> Constraints;
+
+  std::vector<size_t> Pick;
+  std::vector<size_t> ConstPick;
+  std::vector<int64_t> ConstValues;
+  std::vector<int64_t> JointExtent;
+  std::vector<uint64_t> JointStamp;
+  std::vector<uint64_t> BoundEpoch;
+  std::vector<char> BindOk;
+
+  void collect(const Expr &E) {
     switch (E.kind()) {
     case Expr::Kind::Access: {
       const auto &A = exprCast<AccessExpr>(E);
-      auto It = Binding.find(A.name());
-      std::string Name = It != Binding.end() ? It->second : A.name();
-      return std::make_unique<AccessExpr>(Name, A.indices());
-    }
-    case Expr::Kind::Constant: {
-      const auto &C = exprCast<ConstantExpr>(E);
-      if (!C.isSymbolic())
-        return C.clone();
-      auto Node = std::make_unique<ConstantExpr>(0);
-      Bound.ConstNodes.push_back(Node.get());
-      return Node;
+      size_t Before = Symbols.size();
+      int Symbol = intern(Symbols, A.name());
+      if (Symbols.size() != Before)
+        SymbolRank.push_back(static_cast<int>(A.order()));
+      Leaves.push_back(&A);
+      LeafSymbol.push_back(Symbol);
+      VarsAt.push_back(LeafVars.size());
+      for (const std::string &Var : A.indices())
+        LeafVars.push_back(intern(Vars, Var));
+      return;
     }
     case Expr::Kind::Binary: {
-      const auto &B = exprCast<BinaryExpr>(E);
-      ExprPtr Lhs = Rewrite(B.lhs());
-      ExprPtr Rhs = Rewrite(B.rhs());
-      return std::make_unique<BinaryExpr>(B.op(), std::move(Lhs),
-                                          std::move(Rhs));
+      const auto &Bin = exprCast<BinaryExpr>(E);
+      collect(Bin.lhs());
+      collect(Bin.rhs());
+      return;
     }
     case Expr::Kind::Negate:
-      return std::make_unique<NegateExpr>(
-          Rewrite(exprCast<NegateExpr>(E).operand()));
+      collect(exprCast<NegateExpr>(E).operand());
+      return;
     case Expr::Kind::Max: {
       const auto &M = exprCast<MaxExpr>(E);
-      ExprPtr Lhs = Rewrite(M.lhs());
-      ExprPtr Rhs = Rewrite(M.rhs());
-      return std::make_unique<MaxExpr>(std::move(Lhs), std::move(Rhs));
+      collect(M.lhs());
+      collect(M.rhs());
+      return;
     }
+    case Expr::Kind::Constant:
+      if (exprCast<ConstantExpr>(E).isSymbolic())
+        ++ConstLeaves; // Each leaf is substituted independently.
+      return;
     }
-    return nullptr;
-  };
+  }
 
-  auto LhsIt = Binding.find(Template.Lhs.name());
-  AccessExpr Lhs(LhsIt != Binding.end() ? LhsIt->second : Template.Lhs.name(),
-                 Template.Lhs.indices());
-  Bound.Concrete = Program(std::move(Lhs),
-                           Template.Rhs ? Rewrite(*Template.Rhs) : nullptr);
-  return Bound;
-}
-
-/// Extent constraints one (symbol, candidate argument) pair imposes per
-/// example: variable id -> extent, for variables not already pinned by the
-/// output shape. Conflicting pairs were filtered out beforehand.
-using ConstraintList = std::vector<std::pair<int, int64_t>>;
-
-} // namespace
+  /// Walks \p Template into the symbol, leaf and variable tables.
+  void reset(const Program &Template) {
+    Symbols.clear();
+    SymbolRank.clear();
+    Leaves.clear();
+    LeafSymbol.clear();
+    VarsAt.clear();
+    LeafVars.clear();
+    Vars.clear();
+    LhsVars.clear();
+    ConstLeaves = 0;
+    collect(*Template.Rhs);
+    for (const std::string &Var : Template.Lhs.indices())
+      LhsVars.push_back(intern(Vars, Var));
+  }
+};
 
 std::vector<Instantiation>
 Validator::validate(const Program &Template, size_t MaxResults) const {
   std::vector<Instantiation> Valid;
-  if (!Template.Rhs || Examples.empty())
+  if (!Template.Rhs || Examples.empty() || OutArg < 0)
     return Valid;
-
-  const bench::ArgSpec *OutArg = B.outputArg();
-  if (!OutArg)
-    return Valid;
+  const bench::ArgSpec &Out = B.Args[static_cast<size_t>(OutArg)];
 
   // The LHS symbol is pinned to the output argument; ranks must agree.
-  if (static_cast<int>(Template.Lhs.order()) != OutArg->rank())
+  if (static_cast<int>(Template.Lhs.order()) != Out.rank())
     return Valid;
 
-  ensureOperandCache();
-  size_t NumExamples = Examples.size();
-
-  // Distinct RHS tensor symbols with every access, and the constant count.
-  std::vector<SymbolAccesses> AllSymbols;
-  collectSymbolAccesses(*Template.Rhs, AllSymbols);
-  int ConstLeaves = 0;
-  {
-    // Count constant *leaves* (each is substituted independently).
-    std::function<void(const Expr &)> Count = [&](const Expr &E) {
-      switch (E.kind()) {
-      case Expr::Kind::Constant:
-        if (exprCast<ConstantExpr>(E).isSymbolic())
-          ++ConstLeaves;
-        return;
-      case Expr::Kind::Binary: {
-        const auto &Bin = exprCast<BinaryExpr>(E);
-        Count(Bin.lhs());
-        Count(Bin.rhs());
-        return;
-      }
-      case Expr::Kind::Negate:
-        Count(exprCast<NegateExpr>(E).operand());
-        return;
-      case Expr::Kind::Max: {
-        const auto &M = exprCast<MaxExpr>(E);
-        Count(M.lhs());
-        Count(M.rhs());
-        return;
-      }
-      case Expr::Kind::Access:
-        return;
-      }
-    };
-    Count(*Template.Rhs);
-  }
-
-  // Index-variable ids across the whole template.
-  std::map<std::string, int> VarIds;
-  auto IdOf = [&VarIds](const std::string &Var) {
-    auto [It, Inserted] = VarIds.emplace(Var, static_cast<int>(VarIds.size()));
-    (void)Inserted;
-    return It->second;
-  };
-  for (const std::string &Var : Template.Lhs.indices())
-    IdOf(Var);
-  for (const SymbolAccesses &S : AllSymbols)
-    for (const AccessExpr *Leaf : S.Leaves)
-      for (const std::string &Var : Leaf->indices())
-        IdOf(Var);
-  size_t NumVars = VarIds.size();
+  if (!Work)
+    Work = std::make_unique<Scratch>();
+  Scratch &W = *Work;
+  W.reset(Template);
+  const size_t NumExamples = Examples.size();
+  const size_t NumVars = W.Vars.size();
+  const size_t NumLeaves = W.Leaves.size();
+  const int LhsSymbol = [&] {
+    for (size_t S = 0; S < W.Symbols.size(); ++S)
+      if (*W.Symbols[S] == Template.Lhs.name())
+        return static_cast<int>(S);
+    return -1;
+  }();
 
   // Base extents per example: variables pinned by the output shape, both
   // through the LHS and through RHS occurrences of the LHS symbol (which
   // read the output argument). A conflict here dooms every binding — the
   // einsum evaluator would reject each one on that example.
-  std::vector<std::vector<int64_t>> BaseExtents(
-      NumExamples, std::vector<int64_t>(NumVars, -1));
+  W.BaseExtents.assign(NumExamples * NumVars, -1);
   for (size_t E = 0; E < NumExamples; ++E) {
-    const std::vector<int64_t> &OutShape = OperandCache[E].OutShape;
-    auto Pin = [&](const std::vector<std::string> &Vars,
-                   const std::vector<int64_t> &Shape) {
-      if (Vars.size() != Shape.size())
+    const std::vector<int64_t> &OutShape = PerExample[E].OutShape;
+    int64_t *Base = W.BaseExtents.data() + E * NumVars;
+    auto Pin = [&](const int *Vars, size_t Count) {
+      if (Count != OutShape.size())
         return false;
-      for (size_t I = 0; I < Vars.size(); ++I) {
-        int64_t &Slot = BaseExtents[E][static_cast<size_t>(IdOf(Vars[I]))];
-        if (Slot >= 0 && Slot != Shape[I])
+      for (size_t I = 0; I < Count; ++I) {
+        int64_t &Slot = Base[Vars[I]];
+        if (Slot >= 0 && Slot != OutShape[I])
           return false;
-        Slot = Shape[I];
+        Slot = OutShape[I];
       }
       return true;
     };
-    if (!Pin(Template.Lhs.indices(), OutShape))
+    if (!Pin(W.LhsVars.data(), W.LhsVars.size()))
       return Valid;
-    for (const SymbolAccesses &S : AllSymbols) {
-      if (S.Name != Template.Lhs.name())
-        continue;
-      for (const AccessExpr *Leaf : S.Leaves)
-        if (!Pin(Leaf->indices(), OutShape))
-          return Valid;
-    }
+    for (size_t L = 0; L < NumLeaves; ++L)
+      if (W.LeafSymbol[L] == LhsSymbol &&
+          !Pin(W.LeafVars.data() + W.VarsAt[L], W.Leaves[L]->order()))
+        return Valid;
   }
-
-  // RHS symbols still needing a binding (everything but the LHS symbol).
-  std::vector<const SymbolAccesses *> Symbols;
-  for (const SymbolAccesses &S : AllSymbols)
-    if (S.Name != Template.Lhs.name())
-      Symbols.push_back(&S);
 
   // Candidate arguments per symbol, filtered by rank (Fig. 8's "discard
   // substitutions that bind tensors to scalars and vice versa") and by
@@ -418,37 +418,48 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // across the symbol's repeated accesses, or against the output-pinned
   // variables — in any example can never produce a valid instantiation,
   // because the einsum evaluator rejects exactly that conflict.
-  std::vector<std::vector<const bench::ArgSpec *>> Choices(Symbols.size());
-  // Constraints[S][Option][Example] lists the unpinned (var, extent) pairs
-  // that picking Option for symbol S imposes.
-  std::vector<std::vector<std::vector<ConstraintList>>> Constraints(
-      Symbols.size());
-  for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-    const SymbolAccesses &Symbol = *Symbols[SI];
-    for (const bench::ArgSpec &Arg : B.Args) {
-      if (Arg.rank() != Symbol.Order)
-        continue;
+  W.Bound.clear();
+  W.OptionsAt.clear();
+  W.Options.clear();
+  W.ConstraintsAt.clear();
+  W.Constraints.clear();
+  W.Local.resize(NumVars);
+  for (size_t S = 0; S < W.Symbols.size(); ++S) {
+    if (static_cast<int>(S) == LhsSymbol)
+      continue;
+    W.Bound.push_back(static_cast<int>(S));
+    W.OptionsAt.push_back(W.Options.size());
+    size_t Rank = static_cast<size_t>(W.SymbolRank[S]);
+    if (Rank >= ArgsOfRank.size())
+      return Valid;
+    for (int Arg : ArgsOfRank[Rank]) {
+      size_t ConstraintsBefore = W.Constraints.size();
+      size_t AtBefore = W.ConstraintsAt.size();
       bool Compatible = true;
-      std::vector<ConstraintList> PerExample(NumExamples);
       for (size_t E = 0; E < NumExamples && Compatible; ++E) {
-        std::vector<int64_t> Local(NumVars, -1);
-        std::vector<int64_t> Shape = resolveShape(Arg, Examples[E].Sizes);
-        for (const AccessExpr *Leaf : Symbol.Leaves) {
-          if (Leaf->order() != Shape.size()) {
+        W.ConstraintsAt.push_back(W.Constraints.size());
+        std::fill(W.Local.begin(), W.Local.end(), -1);
+        const std::vector<int64_t> &Shape =
+            PerExample[E].Shapes[static_cast<size_t>(Arg)];
+        const int64_t *Base = W.BaseExtents.data() + E * NumVars;
+        for (size_t L = 0; L < NumLeaves && Compatible; ++L) {
+          if (W.LeafSymbol[L] != static_cast<int>(S))
+            continue;
+          if (W.Leaves[L]->order() != Shape.size()) {
             Compatible = false;
             break;
           }
+          const int *Vars = W.LeafVars.data() + W.VarsAt[L];
           for (size_t P = 0; P < Shape.size(); ++P) {
-            int Var = VarIds.at(Leaf->indices()[P]);
-            int64_t Pinned = BaseExtents[E][static_cast<size_t>(Var)];
-            if (Pinned >= 0) {
-              if (Pinned != Shape[P]) {
+            size_t Var = static_cast<size_t>(Vars[P]);
+            if (Base[Var] >= 0) {
+              if (Base[Var] != Shape[P]) {
                 Compatible = false;
                 break;
               }
               continue;
             }
-            int64_t &Slot = Local[static_cast<size_t>(Var)];
+            int64_t &Slot = W.Local[Var];
             if (Slot >= 0) {
               if (Slot != Shape[P]) {
                 Compatible = false;
@@ -457,46 +468,23 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
               continue;
             }
             Slot = Shape[P];
-            PerExample[E].emplace_back(Var, Shape[P]);
+            W.Constraints.emplace_back(Vars[P], Shape[P]);
           }
-          if (!Compatible)
-            break;
         }
       }
-      if (!Compatible)
+      if (!Compatible) {
+        W.Constraints.resize(ConstraintsBefore);
+        W.ConstraintsAt.resize(AtBefore);
         continue;
-      Choices[SI].push_back(&Arg);
-      Constraints[SI].push_back(std::move(PerExample));
+      }
+      W.Options.push_back(Arg);
     }
-    if (Choices[SI].empty())
+    if (W.Options.size() == W.OptionsAt.back())
       return Valid;
   }
-
-  // Operand pointers per (symbol, option, example) and for the output
-  // argument, resolved once; the enumeration then never touches the
-  // operand maps.
-  std::vector<std::vector<std::vector<const Tensor<double> *>>> PtrTable(
-      Symbols.size());
-  for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-    PtrTable[SI].resize(Choices[SI].size());
-    for (size_t O = 0; O < Choices[SI].size(); ++O) {
-      PtrTable[SI][O].resize(NumExamples, nullptr);
-      for (size_t E = 0; E < NumExamples; ++E) {
-        auto It = OperandCache[E].Operands.find(Choices[SI][O]->Name);
-        if (It != OperandCache[E].Operands.end())
-          PtrTable[SI][O][E] = &It->second;
-      }
-    }
-  }
-  std::vector<const Tensor<double> *> OutPtr(NumExamples, nullptr);
-  for (size_t E = 0; E < NumExamples; ++E) {
-    auto It = OperandCache[E].Operands.find(OutArg->Name);
-    if (It != OperandCache[E].Operands.end())
-      OutPtr[E] = &It->second;
-  }
-  std::map<std::string, size_t> SymIndex;
-  for (size_t SI = 0; SI < Symbols.size(); ++SI)
-    SymIndex.emplace(Symbols[SI]->Name, SI);
+  W.OptionsAt.push_back(W.Options.size());
+  W.ConstraintsAt.push_back(W.Constraints.size());
+  const size_t NumBound = W.Bound.size();
 
   // The template is compiled *once* and evaluated directly under each
   // symbol binding: instantiation only renames tensors and fills constant
@@ -506,11 +494,11 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // constants they become mutable literal nodes (in a one-time clone) the
   // constant odometer rewrites in place; otherwise the template itself is
   // compiled, clone-free.
-  std::vector<size_t> Pick(Symbols.size(), 0);
-  BoundTemplate EvalT;
-  if (ConstLeaves > 0)
-    EvalT = bindSymbols(Template, {});
-  const Program &EvalProgram = ConstLeaves > 0 ? EvalT.Concrete : Template;
+  ConstantSlots Slots;
+  if (W.ConstLeaves > 0)
+    Slots.Concrete = Program(Template.Lhs,
+                             withConstantSlots(*Template.Rhs, Slots.Nodes));
+  const Program &EvalProgram = W.ConstLeaves > 0 ? Slots.Concrete : Template;
   // The VM lowering delegates slot assignment and reduction placement to
   // the same structure compiler, so when it succeeds the compiled bytecode
   // evaluates cell-for-cell in the tree-walk's order and the verdicts stay
@@ -518,19 +506,8 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // EinsumProgram is only built on that path (a candidate is validated
   // once, so the compile is paid per call and must not be paid twice).
   vm::Code VmProgram;
-  if (UseVm) {
+  if (UseVm)
     VmProgram = vm::compileProgram(EvalProgram);
-    if (UseVmOpt && VmProgram.ok()) {
-      // Constants must NOT be frozen here: the odometer below rewrites the
-      // template's ConstantExpr leaves in place between refreshConstants()
-      // calls, so value-based constant dedup would be unsound. The
-      // optimizer still hoists invariant loads, fuses spans, and prunes
-      // dead registers — all bit-identity preserving.
-      vm::OptimizeOptions OO;
-      OO.FreezeConstants = false;
-      VmProgram = vm::optimize(VmProgram, OO);
-    }
-  }
   const bool ViaVm = UseVm && VmProgram.ok();
   std::optional<taco::EinsumProgram> Compiled;
   if (!ViaVm) {
@@ -538,32 +515,43 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
     if (!Compiled->ok())
       return Valid;
   }
+
+  W.Pick.assign(NumBound, 0);
+  auto OptionOf = [&W](size_t I) {
+    return W.OptionsAt[I] + W.Pick[I];
+  };
   size_t CurExample = 0;
   auto Resolve = [&](const std::string &Name) -> const Tensor<double> * {
+    const ExampleEval &Eval = PerExample[CurExample];
     if (Name == Template.Lhs.name())
-      return OutPtr[CurExample];
-    size_t SI = SymIndex.find(Name)->second;
-    return PtrTable[SI][Pick[SI]][CurExample];
+      return Eval.Operand[static_cast<size_t>(OutArg)];
+    for (size_t I = 0; I < NumBound; ++I)
+      if (*W.Symbols[static_cast<size_t>(W.Bound[I])] == Name)
+        return Eval.Operand[static_cast<size_t>(W.Options[OptionOf(I)])];
+    return nullptr;
   };
 
   // Cross-symbol consistency scratch, generation-stamped so the joint check
   // allocates nothing per binding.
-  std::vector<int64_t> JointExtent(NumVars, -1);
-  std::vector<uint64_t> JointStamp(NumVars, 0);
+  W.JointExtent.assign(NumVars, -1);
+  W.JointStamp.assign(NumVars, 0);
   uint64_t Generation = 0;
   auto BindingShapesConsistent = [&]() {
     for (size_t E = 0; E < NumExamples; ++E) {
       ++Generation;
-      for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-        for (const auto &[Var, Extent] : Constraints[SI][Pick[SI]][E]) {
+      for (size_t I = 0; I < NumBound; ++I) {
+        size_t At = OptionOf(I) * NumExamples + E;
+        for (size_t C = W.ConstraintsAt[At]; C < W.ConstraintsAt[At + 1];
+             ++C) {
+          auto [Var, Extent] = W.Constraints[C];
           size_t V = static_cast<size_t>(Var);
-          if (JointStamp[V] == Generation) {
-            if (JointExtent[V] != Extent)
+          if (W.JointStamp[V] == Generation) {
+            if (W.JointExtent[V] != Extent)
               return false;
             continue;
           }
-          JointStamp[V] = Generation;
-          JointExtent[V] = Extent;
+          W.JointStamp[V] = Generation;
+          W.JointExtent[V] = Extent;
         }
       }
     }
@@ -575,31 +563,32 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // (their entire constant block would have failed evaluation). The loop is
   // generic over the evaluator vector so the VM and the tree-walk share one
   // definition of the enumeration (and thus one enumeration order).
-  std::vector<size_t> ConstPick(static_cast<size_t>(ConstLeaves), 0);
-  std::vector<int64_t> ConstValues(static_cast<size_t>(ConstLeaves), 0);
+  const size_t NumConsts = static_cast<size_t>(W.ConstLeaves);
+  W.ConstPick.assign(NumConsts, 0);
+  W.ConstValues.assign(NumConsts, 0);
   auto RunEnum = [&](auto &Evaluators) {
     // Examples are (re)bound lazily per binding, preserving the fail-fast
     // behavior of the naive loop: a binding rejected on the first example
     // never pays for the others.
     uint64_t BindEpoch = 0;
-    std::vector<uint64_t> BoundEpoch(NumExamples, 0);
-    std::vector<bool> BindOk(NumExamples, false);
+    W.BoundEpoch.assign(NumExamples, 0);
+    W.BindOk.assign(NumExamples, 0);
     auto EnsureBound = [&](size_t E) -> bool {
-      if (BoundEpoch[E] == BindEpoch)
-        return BindOk[E];
-      BoundEpoch[E] = BindEpoch;
+      if (W.BoundEpoch[E] == BindEpoch)
+        return W.BindOk[E];
+      W.BoundEpoch[E] = BindEpoch;
       CurExample = E;
-      BindOk[E] = Evaluators[E].bind(Resolve, OperandCache[E].OutShape);
-      return BindOk[E];
+      W.BindOk[E] = Evaluators[E].bind(Resolve, PerExample[E].OutShape);
+      return W.BindOk[E];
     };
 
     for (;;) {
       if (BindingShapesConsistent()) {
         ++BindEpoch;
         for (bool More = true; More;) {
-          for (size_t I = 0; I < ConstPick.size(); ++I) {
-            ConstValues[I] = Constants[ConstPick[I]];
-            EvalT.ConstNodes[I]->setValue(ConstValues[I]);
+          for (size_t I = 0; I < NumConsts; ++I) {
+            W.ConstValues[I] = Constants[W.ConstPick[I]];
+            Slots.Nodes[I]->setValue(W.ConstValues[I]);
           }
 
           ++Tried;
@@ -620,45 +609,46 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
 
           if (Consistent) {
             Instantiation Inst;
-            Inst.SymbolBinding[Template.Lhs.name()] = OutArg->Name;
-            for (size_t I = 0; I < Symbols.size(); ++I)
-              Inst.SymbolBinding[Symbols[I]->Name] = Choices[I][Pick[I]]->Name;
-            Inst.Concrete =
-                instantiateTemplate(Template, Inst.SymbolBinding, ConstValues);
-            Inst.ConstantValues = ConstValues;
+            Inst.SymbolBinding[Template.Lhs.name()] = Out.Name;
+            for (size_t I = 0; I < NumBound; ++I)
+              Inst.SymbolBinding[*W.Symbols[static_cast<size_t>(W.Bound[I])]] =
+                  B.Args[static_cast<size_t>(W.Options[OptionOf(I)])].Name;
+            Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
+                                                W.ConstValues);
+            Inst.ConstantValues = W.ConstValues;
             Valid.push_back(std::move(Inst));
             if (Valid.size() >= MaxResults)
               return;
           }
 
           // Advance the constant odometer.
-          size_t Axis = ConstPick.size();
+          size_t Axis = NumConsts;
           bool Wrapped = true;
           while (Axis > 0) {
             --Axis;
-            if (++ConstPick[Axis] < Constants.size()) {
+            if (++W.ConstPick[Axis] < Constants.size()) {
               Wrapped = false;
               break;
             }
-            ConstPick[Axis] = 0;
+            W.ConstPick[Axis] = 0;
           }
-          if (ConstPick.empty() || Wrapped)
+          if (NumConsts == 0 || Wrapped)
             More = false;
         }
       }
 
       // Advance the symbol odometer.
-      size_t Axis = Pick.size();
+      size_t Axis = NumBound;
       bool Wrapped = true;
       while (Axis > 0) {
         --Axis;
-        if (++Pick[Axis] < Choices[Axis].size()) {
+        if (W.OptionsAt[Axis] + ++W.Pick[Axis] < W.OptionsAt[Axis + 1]) {
           Wrapped = false;
           break;
         }
-        Pick[Axis] = 0;
+        W.Pick[Axis] = 0;
       }
-      if (Pick.empty() || Wrapped)
+      if (NumBound == 0 || Wrapped)
         return;
     }
   };

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,11 +57,13 @@ struct Instantiation {
 ///    validate);
 ///  * each symbol binding is checked for cross-symbol extent consistency
 ///    before any instantiation is built or evaluated;
-///  * the per-example operand tensors are materialized once and shared by
-///    every instantiation (they depend only on the argument, not the
-///    candidate);
+///  * the per-example operand tensors and argument shapes are materialized
+///    once per Validator and shared by every template (they depend only on
+///    the argument, not the candidate), keyed by argument index;
 ///  * instantiation evaluation short-circuits on the first failing output
-///    cell of the first failing I/O example (taco::einsumCompare).
+///    cell of the first failing I/O example (taco::einsumCompare);
+///  * the concrete program and symbol binding of an instantiation are only
+///    built once it has passed every example.
 ///
 /// Every pruned candidate is one the einsum evaluator would have rejected,
 /// so the surviving set — and the enumeration order within it — is
@@ -70,14 +73,16 @@ public:
   /// \p Constants is the literal pool harvested from the source by the
   /// static analysis. \p UseVm selects the bytecode VM for instantiation
   /// evaluation (bit-identical verdicts and order; the tree-walk remains
-  /// available behind `--no-vm` for A/B comparison). \p UseVmOpt
-  /// additionally runs vm::optimize over the compiled template — with
-  /// constants *not* frozen, because the validator's constant odometer
-  /// rewrites the template's ConstantExpr leaves between evaluations
-  /// (`--no-vm-opt` disables for A/B comparison).
+  /// available behind `--no-vm` for A/B comparison). The validator runs
+  /// the raw VM code: each template is evaluated only a few times on tiny
+  /// examples, so vm::optimize would cost more than it saves. The trailing
+  /// flag is ignored; it keeps the signature of callers that still pass
+  /// the pipeline's `UseVmOpt`, which now only affects the verifier and
+  /// `execute`.
   Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
             std::vector<int64_t> Constants, bool UseVm = true,
-            bool UseVmOpt = true);
+            bool /*Ignored*/ = true);
+  ~Validator();
 
   /// Enumerates substitutions for \p Template and returns every
   /// instantiation that satisfies all I/O examples, up to \p MaxResults.
@@ -91,24 +96,28 @@ public:
   const std::vector<IoExample> &examples() const { return Examples; }
 
 private:
-  /// Candidate-independent evaluation state for one I/O example: every
-  /// argument materialized as a tensor, plus the resolved output shape.
+  /// Candidate-independent state for one I/O example, by argument index.
   struct ExampleEval {
-    std::map<std::string, taco::Tensor<double>> Operands;
+    std::vector<taco::Tensor<double>> Operands;
+    /// Into Operands; null where the example lacks the argument.
+    std::vector<const taco::Tensor<double> *> Operand;
+    std::vector<std::vector<int64_t>> Shapes;
     std::vector<int64_t> OutShape;
   };
 
-  /// Builds OperandCache on first use (it needs no template).
-  void ensureOperandCache() const;
+  /// Per-call working set, reused across calls.
+  struct Scratch;
 
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
   bool UseVm = true;
-  bool UseVmOpt = true;
+  int OutArg = -1; ///< Index of the output argument, -1 when none.
+  std::vector<ExampleEval> PerExample;
+  /// Argument indices by rank, in argument order.
+  std::vector<std::vector<int>> ArgsOfRank;
   mutable int64_t Tried = 0;
-  mutable std::vector<ExampleEval> OperandCache;
-  mutable bool OperandCacheReady = false;
+  mutable std::unique_ptr<Scratch> Work;
 };
 
 /// Rewrites \p Template by applying \p SymbolBinding to tensor names and

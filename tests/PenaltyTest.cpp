@@ -32,6 +32,7 @@ TemplateGrammar makeGrammar(std::initializer_list<const char *> Sources,
 
 StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr,
                         bool Complete = true) {
+  SymbolTable Symbols(G);
   StateMetrics M;
   taco::ParseExprResult R = taco::parseTacoExpr(Expr);
   EXPECT_TRUE(R.ok()) << Expr;
@@ -46,9 +47,7 @@ StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr,
           ++M.TensorsWithI;
           break;
         }
-      if (std::find(M.TensorOrder.begin(), M.TensorOrder.end(), A.name()) ==
-          M.TensorOrder.end())
-        M.TensorOrder.push_back(A.name());
+      Symbols.note(M.Tensors, Symbols.id(A.name()));
       return;
     }
     case taco::Expr::Kind::Constant:
@@ -56,9 +55,7 @@ StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr,
       return;
     case taco::Expr::Kind::Binary: {
       const auto &B = taco::exprCast<taco::BinaryExpr>(E);
-      if (std::find(M.OpsUsed.begin(), M.OpsUsed.end(), B.op()) ==
-          M.OpsUsed.end())
-        M.OpsUsed.push_back(B.op());
+      M.OpsUsed |= opBit(B.op());
       Scan(B.lhs());
       Scan(B.rhs());
       return;
@@ -68,19 +65,49 @@ StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr,
     }
   };
   Scan(*R.E);
-  (void)G;
   return M;
+}
+
+/// Folds \p Symbols, in order, into an interned SymbolOrder.
+SymbolOrder orderOf(const TemplateGrammar &G,
+                    std::initializer_list<const char *> Symbols) {
+  SymbolTable Table(G);
+  SymbolOrder Order;
+  for (const char *Symbol : Symbols)
+    Table.note(Order, Table.id(Symbol));
+  return Order;
 }
 
 } // namespace
 
 TEST(Penalty, CanonicalTensorOrder) {
-  EXPECT_TRUE(tensorsInCanonicalOrder({}));
-  EXPECT_TRUE(tensorsInCanonicalOrder({"b"}));
-  EXPECT_TRUE(tensorsInCanonicalOrder({"b", "c", "d"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"c"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"b", "d"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"c", "b"}));
+  // The full grammar: every symbol is equivalent, so order is global.
+  std::vector<Templatized> T = {
+      templatize(*taco::parseTacoProgram("r(i) = m(i) + v(i)").Prog)};
+  GrammarOptions Full;
+  Full.FullGrammar = true;
+  TemplateGrammar G =
+      buildTemplateGrammar(T, predictDimensionList(T, 1), 1, Full);
+  EXPECT_TRUE(orderOf(G, {}).Canonical);
+  EXPECT_TRUE(orderOf(G, {"b"}).Canonical);
+  EXPECT_TRUE(orderOf(G, {"b", "c", "d"}).Canonical);
+  EXPECT_TRUE(orderOf(G, {"b", "c", "b", "d"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"c"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"b", "d"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"c", "b"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"b", "a"}).Canonical);
+  EXPECT_EQ(orderOf(G, {"b", "d", "b"}).Used, 0b101u);
+}
+
+TEST(Penalty, CanonicalOrderIsPerDimensionClass) {
+  // L = [1, 0, 1, 1]: `b` is 0-D, `c` and `d` are 1-D.
+  TemplateGrammar G = makeGrammar({"r(i) = 2 * m(i) + v(i)"}, 1);
+  ASSERT_EQ(G.DimList, (std::vector<int>{1, 0, 1, 1}));
+  EXPECT_TRUE(orderOf(G, {"c"}).Canonical); // `c` is the first 1-D symbol.
+  EXPECT_TRUE(orderOf(G, {"c", "b", "d"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"d"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"d", "c"}).Canonical);
+  EXPECT_FALSE(orderOf(G, {"e"}).Canonical); // Beyond the dimension list.
 }
 
 TEST(Penalty, A2ChargesWrongLength) {
@@ -166,11 +193,10 @@ TEST(Penalty, A1BiasesConstantGrammars) {
 TEST(Penalty, BottomUpAlphabeticalOrderIsSoft) {
   TemplateGrammar G = makeGrammar({"r(i) = m(i) + v(i)"}, 1);
   SearchConfig Config;
-  double Bad = bottomUpPenalty({"c", "b"}, {taco::BinOpKind::Add}, 2, G,
-                               Config);
+  OpSet Add = opBit(taco::BinOpKind::Add);
+  double Bad = bottomUpPenalty(orderOf(G, {"c", "b"}), Add, 2, G, Config);
   EXPECT_EQ(Bad, 100);
-  double Good =
-      bottomUpPenalty({"b", "c"}, {taco::BinOpKind::Add}, 2, G, Config);
+  double Good = bottomUpPenalty(orderOf(G, {"b", "c"}), Add, 2, G, Config);
   EXPECT_EQ(Good, 0);
 }
 
@@ -184,13 +210,12 @@ TEST(Penalty, BottomUpB2PrunesOpPoorFullChains) {
   ASSERT_EQ(G.DimList.size(), 4u); // Occurrence-counted: [1,1,1,1].
   SearchConfig Config;
   // Full-length chain with a single distinct op < floor(4/2).
-  double P = bottomUpPenalty({"b", "c", "d"}, {taco::BinOpKind::Add}, 3, G,
-                             Config);
+  SymbolOrder Chain = orderOf(G, {"b", "c", "d"});
+  OpSet Add = opBit(taco::BinOpKind::Add);
+  double P = bottomUpPenalty(Chain, Add, 3, G, Config);
   EXPECT_TRUE(std::isinf(P));
   Config.PenaltyB2 = false;
-  EXPECT_FALSE(std::isinf(bottomUpPenalty({"b", "c", "d"},
-                                          {taco::BinOpKind::Add}, 3, G,
-                                          Config)));
+  EXPECT_FALSE(std::isinf(bottomUpPenalty(Chain, Add, 3, G, Config)));
 }
 
 TEST(Penalty, DropAllSwitches) {
