@@ -20,9 +20,8 @@ fast side of a twin pair, resolved by suffix — `KEY_par` pairs with
 the bare `KEY` (optimized vs raw). Both twins must be present in the
 CURRENT report; the gate fails unless current[slow] / current[fast]
 >= RATIO. Because both sides come from the same run on the same machine,
-no normalization is needed — this is how CI proves the parallel frontier
-scales and the VM optimizer actually pays, instead of merely not
-regressing.
+no normalization is needed — this is how CI proves the VM optimizer
+actually pays, instead of merely not regressing.
 
 Only entries whose name starts with --prefix (default `micro/`) are gated:
 the end-to-end lift timings are reported for information but are too noisy

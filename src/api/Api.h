@@ -61,7 +61,6 @@ struct ConfigPatch {
   std::optional<bool> EqualProbability;        ///< "equal_probability"
   std::optional<bool> UseVm;                   ///< "use_vm"
   std::optional<bool> UseVmOpt;                ///< "use_vm_opt"
-  std::optional<int> SearchThreads;            ///< "search_threads"
   std::optional<int> ExecuteThreads;           ///< "execute_threads"
 
   bool empty() const;

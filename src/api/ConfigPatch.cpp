@@ -33,8 +33,7 @@ bool ConfigPatch::empty() const {
   return !Kind && !NumCandidates && !NumIoExamples && !ExampleSeed &&
          !SkipVerification && !TimeoutSeconds && !MaxDepth &&
          !MaxExpansions && !MaxAttempts && !VerifyMaxSize && !FullGrammar &&
-         !EqualProbability && !UseVm && !UseVmOpt && !SearchThreads &&
-         !ExecuteThreads;
+         !EqualProbability && !UseVm && !UseVmOpt && !ExecuteThreads;
 }
 
 core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
@@ -67,8 +66,6 @@ core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
     Out.UseVm = *UseVm;
   if (UseVmOpt)
     Out.UseVmOpt = *UseVmOpt;
-  if (SearchThreads)
-    Out.Search.Threads = *SearchThreads;
   if (ExecuteThreads)
     Out.Serve.ExecuteThreads = *ExecuteThreads;
   return Out;
@@ -150,9 +147,6 @@ std::string ConfigPatch::fromJson(const Json &Object, ConfigPatch &Out) {
       Error = expectBool(Value, "use_vm", Out.UseVm);
     } else if (Key == "use_vm_opt") {
       Error = expectBool(Value, "use_vm_opt", Out.UseVmOpt);
-    } else if (Key == "search_threads") {
-      Error = expectPositiveInt(Value, "search_threads", Out.SearchThreads,
-                                std::numeric_limits<int>::max());
     } else if (Key == "execute_threads") {
       Error = expectPositiveInt(Value, "execute_threads", Out.ExecuteThreads,
                                 std::numeric_limits<int>::max());
@@ -196,8 +190,6 @@ Json ConfigPatch::toJson() const {
     Out.set("use_vm", Json::boolean(*UseVm));
   if (UseVmOpt)
     Out.set("use_vm_opt", Json::boolean(*UseVmOpt));
-  if (SearchThreads)
-    Out.set("search_threads", Json::integer(*SearchThreads));
   if (ExecuteThreads)
     Out.set("execute_threads", Json::integer(*ExecuteThreads));
   return Out;

@@ -3,8 +3,8 @@
 #include "api/Endpoint.h"
 
 #include "api/KernelIngest.h"
-#include "search/WorkerPool.h"
 #include "support/StringUtils.h"
+#include "support/WorkerPool.h"
 #include "taco/Printer.h"
 #include "validate/IoExamples.h"
 #include "vm/Compiler.h"
@@ -353,14 +353,14 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
   checkedCellCount(OutShape, OutCells); // arg loop above already validated
   const int64_t Rows = OutShape.empty() ? 0 : OutShape[0];
   const int Threads =
-      search::resolveThreads(Effective.Serve.ExecuteThreads);
+      support::resolveThreads(Effective.Serve.ExecuteThreads);
   const int Tiles = static_cast<int>(
       std::min<int64_t>(Threads, Rows > 0 ? Rows : 1));
   if (Tiles > 1 && OutCells >= Effective.Serve.ExecuteTileMinCells) {
     taco::Tensor<double> Output(OutShape);
     std::vector<double> &Flat = Output.flat();
     std::vector<std::string> TileErrors(static_cast<size_t>(Tiles));
-    search::WorkerPool Pool;
+    support::WorkerPool Pool;
     Pool.run(Tiles, [&](int Worker) {
       vm::Interpreter<double> Tile(Code);
       if (!Tile.bindMap(Operands, OutShape)) {

@@ -13,11 +13,11 @@
 #include "grammar/Pcfg.h"
 #include "grammar/Template.h"
 #include "search/TopDown.h"
-#include "search/WorkerPool.h"
 #include "serve/ResultCache.h"
 #include "serve/SocketServer.h"
 #include "support/Json.h"
 #include "support/Timer.h"
+#include "support/WorkerPool.h"
 #include "taco/Einsum.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
@@ -126,9 +126,8 @@ struct MicroFixtures {
   }
 };
 
-/// The micro suite. Mirrors bench/micro_primitives.cpp (the google-benchmark
-/// build of the same measurements) and adds the validator/verifier hot
-/// paths this repo's perf work targets.
+/// The micro suite: the hot primitives plus the validator/verifier paths
+/// this repo's perf work targets.
 std::vector<Micro> buildMicros(const MicroFixtures &F) {
   std::vector<Micro> Micros;
 
@@ -267,13 +266,8 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       }});
   }
 
-  // The parallel frontier (search/Frontier.h): identical probe workloads —
-  // one 32x32 VM matmul per candidate, heavy enough to amortize worker
-  // spawn — driven serially and at four workers. The perf gate
-  // (scripts/bench_compare.py --min-speedup) holds search_topdown_par to a
-  // 2x win over its _ser twin within the same report, so the pair is the
-  // scaling regression test. search_steal skews per-candidate work by a
-  // factor of four, forcing idle workers onto the steal path.
+  // A full top-down search whose probe runs one 32x32 VM matmul per
+  // candidate: enumeration plus a fixed per-probe cost.
   {
     auto T = std::make_shared<std::vector<grammar::Templatized>>();
     for (const char *S : {"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)",
@@ -295,40 +289,21 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     Ops->emplace("b", std::move(Bm));
     Ops->emplace("c", std::move(Cm));
 
-    auto RunSearch = [G, Code, Ops](int Threads, bool Skewed) {
-      search::SearchConfig Config;
-      Config.MaxAttempts = 32;
-      Config.Threads = Threads;
-      search::SearchResult R = search::runTopDown(
-          *G, Config, search::TemplateProbeFactory([&](int) {
-            // Per-worker interpreter and scratch output: one shared
-            // vm::Code, concurrent execution.
-            auto Interp = std::make_shared<vm::Interpreter<double>>(*Code);
-            if (!Interp->bindMap(*Ops, {32, 32}))
-              std::abort();
-            auto Out = std::make_shared<taco::Tensor<double>>(
-                std::vector<int64_t>{32, 32});
-            return search::TemplateProbe(
-                [Interp, Out, Skewed](const taco::Program &Cand) {
-                  int Reps = 1;
-                  if (Skewed)
-                    Reps += static_cast<int>(std::hash<std::string>()(
-                                taco::printProgram(Cand)) %
-                            4);
-                  for (int I = 0; I < Reps; ++I)
-                    Interp->evaluateInto(*Out);
-                  return false;
-                });
-          }));
-      if (R.Attempts != 32)
-        std::abort();
-    };
-    Micros.push_back(
-        {"micro/search_topdown_ser", [RunSearch] { RunSearch(1, false); }});
-    Micros.push_back(
-        {"micro/search_topdown_par", [RunSearch] { RunSearch(4, false); }});
-    Micros.push_back(
-        {"micro/search_steal", [RunSearch] { RunSearch(4, true); }});
+    Micros.push_back({"micro/search_topdown_ser", [G, Code, Ops] {
+                        vm::Interpreter<double> Interp(*Code);
+                        if (!Interp.bindMap(*Ops, {32, 32}))
+                          std::abort();
+                        taco::Tensor<double> Out({32, 32});
+                        search::SearchConfig Config;
+                        Config.MaxAttempts = 32;
+                        search::SearchResult R = search::runTopDown(
+                            *G, Config, [&](const taco::Program &) {
+                              Interp.evaluateInto(Out);
+                              return false;
+                            });
+                        if (R.Attempts != 32)
+                          std::abort();
+                      }});
   }
 
   // Validator substitution enumeration (the §6 hot path).
@@ -454,7 +429,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     Micros.push_back({"micro/vm_execute_tiled", [Code, Ops, Out] {
                         constexpr int Tiles = 4;
                         std::vector<double> &Flat = Out->flat();
-                        search::WorkerPool Pool;
+                        support::WorkerPool Pool;
                         Pool.run(Tiles, [&](int Worker) {
                           vm::Interpreter<double> Tile(*Code);
                           if (!Tile.bindMap(*Ops, {128, 128}))

@@ -330,8 +330,17 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       RunOnly = F.Name;
       if (!takeValue(F, O.CsvPath))
         break;
+    } else if (F.Name == "--search-threads") {
+      // Kept only for liftbench/, which passes `--search-threads 1`; goes
+      // with the next benchmark change.
+      if (!takeValue(F, Value))
+        break;
+      if (Value != "1") {
+        Parse.Error = "--search-threads accepts only 1 (search is serial), "
+                      "got '" + Value + "'";
+        break;
+      }
     } else if (F.Name == "--limit" || F.Name == "--threads" ||
-               F.Name == "--search-threads" ||
                F.Name == "--candidates" || F.Name == "--io-examples" ||
                F.Name == "--max-depth" || F.Name == "--max-size" ||
                F.Name == "--seed" || F.Name == "--example-seed") {
@@ -356,8 +365,6 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       }
       else if (F.Name == "--threads")
         O.Threads = static_cast<int>(N);
-      else if (F.Name == "--search-threads")
-        O.Config.Search.Threads = static_cast<int>(N);
       else if (F.Name == "--candidates")
         O.Config.NumCandidates = static_cast<int>(N);
       else if (F.Name == "--io-examples")
@@ -651,10 +658,7 @@ std::string driver::usage() {
      << "  --max-size N        bounded-verifier size bound (default 2)\n"
      << "  --seed N            simulated-LLM oracle seed\n"
      << "  --example-seed N    I/O example generator seed\n"
-     << "  --search-threads N  parallel candidate-probing workers per lift\n"
-     << "                      (default 1 = serial; results are bit-identical\n"
-     << "                      for every N, and the serving layer caps N so\n"
-     << "                      pool width x N never oversubscribes the host)\n"
+     << "  --search-threads 1  accepted for compatibility; search is serial\n"
      << "\n"
      << "Ablations (paper Tables 2/3):\n"
      << "  --no-verify         accept on I/O validation only (C2TACO-style)\n"

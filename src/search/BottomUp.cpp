@@ -3,7 +3,6 @@
 #include "search/BottomUp.h"
 
 #include "search/CostModel.h"
-#include "search/Frontier.h"
 #include "search/Penalty.h"
 #include "support/Timer.h"
 
@@ -54,9 +53,9 @@ ExprPtr chainToExpr(const ChainState &S) {
 }
 
 /// Algorithm 2 as a resumable generator — same mechanics as the top-down
-/// TopDownEnumerator: probe call sites become yield points, and since probe
-/// outcomes never fed back into the queue, the pop order and counters are
-/// the serial loop's for any consumer.
+/// TopDownEnumerator: each complete chain is a yield point, and since probe
+/// outcomes never feed back into the queue, the pop order and counters are
+/// a pure function of (grammar, config).
 class BottomUpEnumerator : public CandidateStream {
 public:
   BottomUpEnumerator(const grammar::TemplateGrammar &G,
@@ -83,7 +82,7 @@ public:
     push(ChainState());
   }
 
-  bool next(Candidate &Out) override {
+  bool next(taco::Program &Out) override {
     if (Done)
       return false;
     static const BinOpKind AllOps[] = {BinOpKind::Add, BinOpKind::Sub,
@@ -102,12 +101,10 @@ public:
       // Algorithm 2, line 5: once the chain holds as many tensors as the
       // dimension list predicts, strip the tail nonterminal and yield for
       // probing. No expansion follows a complete chain, so resuming at the
-      // loop top is exactly the serial continue.
+      // loop top is exactly Algorithm 2's continue.
       if (static_cast<int>(Current.Leaves.size()) == RhsSlots) {
-        Out.Ticket = NextTicket++;
-        Out.Program = taco::Program(G.Lhs, chainToExpr(Current));
-        Out.AttemptsAtYield = ++Attempts;
-        Out.ExpansionsAtYield = Expansions;
+        Out = taco::Program(G.Lhs, chainToExpr(Current));
+        ++Attempts;
         return true;
       }
 
@@ -185,7 +182,6 @@ private:
   std::vector<double> SuffixCost;
   std::priority_queue<ChainState, std::vector<ChainState>, ChainGreater> Queue;
   uint64_t NextSeq = 0;
-  uint64_t NextTicket = 0;
   int Attempts = 0;
   int64_t Expansions = 0;
   bool Done = false;
@@ -202,14 +198,13 @@ search::makeBottomUpStream(const grammar::TemplateGrammar &G,
 
 SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
                                  const SearchConfig &Config,
-                                 const TemplateProbeFactory &Factory) {
+                                 const TemplateProbe &Probe) {
   BottomUpEnumerator Stream(G, Config);
-  return runFrontier(Stream, Config, Factory);
+  return runSearch(Stream, Probe);
 }
 
 SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
                                  const SearchConfig &Config,
-                                 const TemplateProbe &Probe) {
-  return runBottomUp(G, Config,
-                     TemplateProbeFactory([&Probe](int) { return Probe; }));
+                                 const TemplateProbeFactory &Factory) {
+  return runBottomUp(G, Config, Factory(0));
 }

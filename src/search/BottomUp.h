@@ -26,23 +26,18 @@
 namespace stagg {
 namespace search {
 
-class CandidateStream;
-
 /// Runs the bottom-up enumeration. \p Probe is invoked on each dequeued
-/// (tail-stripped) chain; returning true ends the search successfully. The
-/// single probe is shared across workers, so with Config.Threads != 1 it
-/// must be thread-safe; stateful probes should use the factory overload.
+/// (tail-stripped) chain; returning true ends the search successfully.
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
                          const TemplateProbe &Probe);
 
-/// Same search with one probe per worker (see TemplateProbeFactory).
+/// Kept only for liftbench/; goes with the next benchmark change.
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
                          const TemplateProbeFactory &Factory);
 
-/// The bare enumeration as a stream of complete candidates in serial probe
-/// order, for callers that drive the frontier themselves.
+/// The bare enumeration as a stream of complete candidates in probe order.
 std::unique_ptr<CandidateStream>
 makeBottomUpStream(const grammar::TemplateGrammar &G,
                    const SearchConfig &Config);

@@ -7,7 +7,8 @@
 /// \file
 /// Configuration and result types shared by the top-down and bottom-up
 /// weighted A\* searches, including the per-penalty ablation switches that
-/// drive the Table 2 experiments.
+/// drive the Table 2 experiments, plus the candidate-stream interface both
+/// enumerators implement and the one loop that probes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +48,8 @@ struct SearchConfig {
   int64_t MaxExpansions = 2'000'000;
   int MaxAttempts = 20'000;
 
-  /// Probe workers for the parallel frontier (search/Frontier.h). 1 keeps
-  /// the search serial; 0 resolves to one per hardware thread; N > 1 probes
-  /// up to N candidates concurrently. The accepted candidate, counters, and
-  /// fail reason are bit-identical for every value — parallelism only
-  /// changes wall-clock time.
+  /// Kept only for liftbench/, which sets and checks it; nothing in src/
+  /// reads it. Goes with the next benchmark change.
   int Threads = 1;
 
   /// Convenience: disables all penalties of one search (Drop(A)/Drop(B)).
@@ -65,13 +63,9 @@ struct SearchConfig {
 /// pipeline's validate-then-verify step). Returning true stops the search.
 using TemplateProbe = std::function<bool(const taco::Program &Template)>;
 
-/// Probe maker for the parallel frontier: called once per worker (with the
-/// worker index) before that worker probes its first candidate, on the
-/// worker's own thread. Each returned probe is only ever invoked from its
-/// worker, so it may own mutable state (validator, reference cache, result
-/// slot) without synchronization. Probe outcomes must depend only on the
-/// template — never on call order or on which worker asks — or the
-/// determinism contract of SearchConfig::Threads breaks.
+/// Kept only for liftbench/, which passes its probe this way; goes with the
+/// next benchmark change. The factory is called once, with 0, before
+/// enumeration starts.
 using TemplateProbeFactory = std::function<TemplateProbe(int Worker)>;
 
 /// Outcome of one search run.
@@ -80,27 +74,44 @@ struct SearchResult {
   taco::Program SolvedTemplate;
 
   /// Number of complete templates submitted to validation ("attempts").
-  /// Reported as the serial search would count it regardless of Threads: on
-  /// success this is the accepted candidate's 1-based enumeration ticket.
   int Attempts = 0;
 
-  /// Number of queue pops (enumerated partial templates). Like Attempts,
-  /// bit-identical across thread counts.
+  /// Number of queue pops (enumerated partial templates).
   int64_t Expansions = 0;
 
   double Seconds = 0;
   std::string FailReason;
-
-  /// Parallel-frontier diagnostics. Unlike the counters above these may
-  /// vary run to run (they describe scheduling, not the result): probes
-  /// actually executed (>= Attempts on parallel success, since in-flight
-  /// lookahead overshoots the winner), tasks taken from another worker's
-  /// deque, and the worker that produced the accepted candidate (0 for a
-  /// serial run, -1 when unsolved).
-  int64_t ProbesExecuted = 0;
-  int64_t Steals = 0;
-  int WinnerWorker = -1;
 };
+
+/// Resumable enumeration of complete candidates in probe order: the
+/// interface both enumerators implement. next() returns false once the
+/// search is exhausted or a budget/timeout fires, after which failReason()
+/// is valid.
+class CandidateStream {
+public:
+  virtual ~CandidateStream() = default;
+
+  /// Yields the next complete template to probe, after the per-pop timeout
+  /// and budget checks.
+  virtual bool next(taco::Program &Out) = 0;
+
+  /// Why enumeration stopped ("timeout", "budget exhausted", "search space
+  /// exhausted", ...). Valid once next() has returned false.
+  virtual const std::string &failReason() const = 0;
+
+  /// Running counters: templates yielded so far, and queue pops up to and
+  /// including the one that completed the last yielded template.
+  virtual int attempts() const = 0;
+  virtual int64_t expansions() const = 0;
+
+  /// Wall-clock seconds since the stream was created — the same clock the
+  /// per-pop timeout checks read.
+  virtual double seconds() const = 0;
+};
+
+/// The search loop shared by both enumerators: probe every candidate of
+/// \p Stream until one is accepted or the stream ends.
+SearchResult runSearch(CandidateStream &Stream, const TemplateProbe &Probe);
 
 } // namespace search
 } // namespace stagg

@@ -3,7 +3,6 @@
 #include "search/TopDown.h"
 
 #include "search/CostModel.h"
-#include "search/Frontier.h"
 #include "search/Penalty.h"
 #include "search/TemplateState.h"
 #include "support/Timer.h"
@@ -36,10 +35,10 @@ struct ItemGreater {
   }
 };
 
-/// Algorithm 1 as a resumable generator: the probe call sites of the old
-/// serial loop become yield points. Probe outcomes never touched the heap,
-/// so the pop/expand order — and with it every counter — is exactly the
-/// serial loop's regardless of who consumes the stream.
+/// Algorithm 1 as a resumable generator: each complete template is a yield
+/// point, and runSearch probes it before asking for the next. Probe
+/// outcomes never touch the heap, so the pop/expand order — and with it
+/// every counter — is a pure function of (grammar, config).
 class TopDownEnumerator : public CandidateStream {
 public:
   TopDownEnumerator(const grammar::TemplateGrammar &G,
@@ -54,7 +53,7 @@ public:
     admit(0, Pool.root());
   }
 
-  bool next(Candidate &Out) override {
+  bool next(taco::Program &Out) override {
     if (Done)
       return false;
     while (!Heap.empty()) {
@@ -71,10 +70,8 @@ public:
       bool Yield = expand(Current);
       if (Yield) {
         // Complete template: yield it for validation + verification.
-        Out.Ticket = NextTicket++;
-        Out.Program = taco::Program(G.Lhs, treeToExpr(*Current.State));
-        Out.AttemptsAtYield = ++Attempts;
-        Out.ExpansionsAtYield = Expansions;
+        Out = taco::Program(G.Lhs, treeToExpr(*Current.State));
+        ++Attempts;
       }
       Pool.release(Current.State);
       if (Yield)
@@ -169,7 +166,6 @@ private:
   std::vector<Item> Heap;
   ItemGreater Cmp;
   uint64_t NextSeq = 0;
-  uint64_t NextTicket = 0;
   int Attempts = 0;
   int64_t Expansions = 0;
   bool Done = false;
@@ -187,14 +183,13 @@ search::makeTopDownStream(const grammar::TemplateGrammar &G,
 
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
                                 const SearchConfig &Config,
-                                const TemplateProbeFactory &Factory) {
+                                const TemplateProbe &Probe) {
   TopDownEnumerator Stream(G, Config);
-  return runFrontier(Stream, Config, Factory);
+  return runSearch(Stream, Probe);
 }
 
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
                                 const SearchConfig &Config,
-                                const TemplateProbe &Probe) {
-  return runTopDown(G, Config,
-                    TemplateProbeFactory([&Probe](int) { return Probe; }));
+                                const TemplateProbeFactory &Factory) {
+  return runTopDown(G, Config, Factory(0));
 }

@@ -7,9 +7,7 @@
 /// \file
 /// Algorithm 1 of the paper: weighted A\* over the template grammar,
 /// expanding the leftmost nonterminal of partial templates, ordered by
-/// f(x) = c(x) + g(x) + X(x), with a depth limit of 6. Probing runs on the
-/// parallel frontier (search/Frontier.h) when Config.Threads != 1; results
-/// are bit-identical for every thread count.
+/// f(x) = c(x) + g(x) + X(x), with a depth limit of 6.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +23,6 @@
 namespace stagg {
 namespace search {
 
-class CandidateStream;
 class DerivationState;
 
 /// Sees every state the enumerator derives, with its penalty, before the
@@ -34,20 +31,17 @@ using StateObserver =
     std::function<void(const DerivationState &State, double Penalty)>;
 
 /// Runs the top-down enumeration. \p Probe is invoked on every complete
-/// template; returning true ends the search successfully. The single probe
-/// is shared across workers, so with Config.Threads != 1 it must be
-/// thread-safe; stateful probes should use the factory overload instead.
+/// template; returning true ends the search successfully.
 SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const SearchConfig &Config, const TemplateProbe &Probe);
 
-/// Same search with one probe per worker (see TemplateProbeFactory).
+/// Kept only for liftbench/; goes with the next benchmark change.
 SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const SearchConfig &Config,
                         const TemplateProbeFactory &Factory);
 
-/// The bare enumeration as a stream of complete candidates in serial probe
-/// order, for callers that drive the frontier themselves. \p Observer, when
-/// set, is called on every derived state.
+/// The bare enumeration as a stream of complete candidates in probe order.
+/// \p Observer, when set, is called on every derived state.
 std::unique_ptr<CandidateStream>
 makeTopDownStream(const grammar::TemplateGrammar &G, const SearchConfig &Config,
                   StateObserver Observer = {});

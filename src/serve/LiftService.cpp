@@ -3,13 +3,13 @@
 #include "serve/LiftService.h"
 
 #include "llm/SimulatedLlm.h"
-#include "search/WorkerPool.h"
+#include "support/WorkerPool.h"
 
-#include <algorithm>
+#include <utility>
 
 using namespace stagg;
 using namespace stagg::serve;
-using search::resolveThreads;
+using support::resolveThreads;
 
 namespace {
 
@@ -122,17 +122,6 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
   Response.Benchmark = B.Name;
   Response.Category = B.Category;
   Response.Ticket = Request.Ticket;
-
-  // Cap search parallelism before the fingerprint is taken: W pool workers
-  // each running an S-thread frontier would put W*S threads on the host, so
-  // each request gets an equal share of the hardware (at least one). The
-  // clamp never changes a result — thread counts are bit-identical by
-  // contract — and clamping before keying means the cache records the
-  // configuration that actually ran.
-  int ThreadBudget =
-      std::max(1, resolveThreads(0) / static_cast<int>(Pool.size()));
-  Request.Config.Search.Threads =
-      std::min(resolveThreads(Request.Config.Search.Threads), ThreadBudget);
 
   // The key is the normalized kernel text, salted with everything else the
   // result depends on beyond the source text: the benchmark name (the

@@ -1,10 +1,10 @@
-//===- search/WorkerPool.cpp - Fork/join worker pool ----------------------===//
+//===- support/WorkerPool.cpp - Fork/join worker pool ---------------------===//
 //
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
 //===----------------------------------------------------------------------===//
 
-#include "search/WorkerPool.h"
+#include "support/WorkerPool.h"
 
 #include <exception>
 #include <mutex>
@@ -12,7 +12,7 @@
 #include <vector>
 
 namespace stagg {
-namespace search {
+namespace support {
 
 int resolveThreads(int Requested) {
   if (Requested > 0)
@@ -52,5 +52,5 @@ void WorkerPool::run(int Participants,
     std::rethrow_exception(First);
 }
 
-} // namespace search
+} // namespace support
 } // namespace stagg

@@ -1,31 +1,30 @@
-//===- search/WorkerPool.h - Fork/join worker pool --------------*- C++ -*-===//
+//===- support/WorkerPool.h - Fork/join worker pool -------------*- C++ -*-===//
 //
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fork/join pool shared by the parallel search frontiers (top-down and
-/// bottom-up). Each run() is one session: worker 0 executes on the calling
-/// thread, workers 1..K-1 on freshly spawned std::threads, and run() returns
-/// only after every participant has — a session barrier, so a cancelled or
-/// failed search can never leave a detached worker behind. The first
-/// exception thrown by any participant is rethrown on the caller after the
-/// barrier.
+/// A fork/join pool for the tiled v2 `execute` path. Each run() is one
+/// session: worker 0 executes on the calling thread, workers 1..K-1 on
+/// freshly spawned std::threads, and run() returns only after every
+/// participant has — a session barrier, so a failed run can never leave a
+/// detached worker behind. The first exception thrown by any participant is
+/// rethrown on the caller after the barrier.
 ///
 /// Spawning per session keeps the pool stateless: a serve process running W
-/// concurrent lifts holds exactly the threads those lifts need, and tests
-/// can assert quiescence simply by returning from run().
+/// concurrent requests holds exactly the threads those requests need, and
+/// tests can assert quiescence simply by returning from run().
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef STAGG_SEARCH_WORKERPOOL_H
-#define STAGG_SEARCH_WORKERPOOL_H
+#ifndef STAGG_SUPPORT_WORKERPOOL_H
+#define STAGG_SUPPORT_WORKERPOOL_H
 
 #include <functional>
 
 namespace stagg {
-namespace search {
+namespace support {
 
 /// Resolves a thread-count knob: N > 0 is taken literally, 0 (or negative)
 /// means "one per hardware thread" (at least 1).
@@ -41,7 +40,7 @@ public:
   void run(int Participants, const std::function<void(int Worker)> &Body);
 };
 
-} // namespace search
+} // namespace support
 } // namespace stagg
 
-#endif // STAGG_SEARCH_WORKERPOOL_H
+#endif // STAGG_SUPPORT_WORKERPOOL_H

@@ -443,7 +443,7 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   api::ConfigPatch Patch;
   JsonParseResult Object = parseJson(
       "{\"search\":\"bu\",\"candidates\":7,\"skip_verify\":true,"
-      "\"timeout_s\":2.5,\"example_seed\":99,\"search_threads\":4}");
+      "\"timeout_s\":2.5,\"example_seed\":99}");
   ASSERT_TRUE(Object.ok());
   EXPECT_EQ(api::ConfigPatch::fromJson(Object.Value, Patch), "");
   EXPECT_EQ(*Patch.Kind, core::SearchKind::BottomUp);
@@ -451,9 +451,6 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_TRUE(*Patch.SkipVerification);
   EXPECT_DOUBLE_EQ(*Patch.TimeoutSeconds, 2.5);
   EXPECT_EQ(*Patch.ExampleSeed, 99u);
-  EXPECT_EQ(*Patch.SearchThreads, 4);
-  core::StaggConfig Applied = Patch.apply(core::StaggConfig());
-  EXPECT_EQ(Applied.Search.Threads, 4);
 
   api::ConfigPatch Bad;
   EXPECT_NE(api::ConfigPatch::fromJson(parseJson("{\"candidats\":7}").Value,
@@ -465,14 +462,10 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_NE(
       api::ConfigPatch::fromJson(parseJson("{\"search\":\"dfs\"}").Value, Bad),
       "");
-  // search_threads must be a positive integer: 0 (auto) is CLI-only, so a
-  // remote client cannot scale a shared server by its core count.
-  EXPECT_NE(api::ConfigPatch::fromJson(
-                parseJson("{\"search_threads\":0}").Value, Bad),
-            "");
-  EXPECT_NE(api::ConfigPatch::fromJson(
-                parseJson("{\"search_threads\":-2}").Value, Bad),
-            "");
+  // Search is serial; the old parallel-search knob is an unknown key.
+  EXPECT_EQ(api::ConfigPatch::fromJson(
+                parseJson("{\"search_threads\":4}").Value, Bad),
+            "unknown config key \"search_threads\"");
 }
 
 TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
@@ -482,7 +475,7 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   core::StaggConfig Base;
   std::string Baseline = core::configFingerprint(Base);
 
-  std::vector<api::ConfigPatch> Patches(16);
+  std::vector<api::ConfigPatch> Patches(15);
   Patches[0].Kind = core::SearchKind::BottomUp;
   Patches[1].NumCandidates = 11;
   Patches[2].NumIoExamples = 4;
@@ -496,9 +489,8 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   Patches[10].FullGrammar = true;
   Patches[11].EqualProbability = true;
   Patches[12].UseVm = false;
-  Patches[13].SearchThreads = 4;
-  Patches[14].UseVmOpt = false;
-  Patches[15].ExecuteThreads = 4;
+  Patches[13].UseVmOpt = false;
+  Patches[14].ExecuteThreads = 4;
 
   for (size_t I = 0; I < Patches.size(); ++I)
     EXPECT_NE(core::configFingerprint(Patches[I].apply(Base)), Baseline)

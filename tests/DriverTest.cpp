@@ -122,18 +122,16 @@ TEST(DriverCli, ExecutionAndOutputFlags) {
 }
 
 TEST(DriverCli, SearchThreadsFlag) {
-  // Defaults to serial: parallel search is opt-in, bit-identical when on.
-  EXPECT_EQ(parse({}).Options.Config.Search.Threads, 1);
-
-  CliParse P = parse({"--search-threads", "8"});
+  // Search is serial; the flag survives only with the value 1.
+  CliParse P = parse({"--search-threads", "1"});
   ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Search.Threads, 8);
-  EXPECT_EQ(parse({"--search-threads=4"}).Options.Config.Search.Threads, 4);
+  EXPECT_TRUE(parse({"--search-threads=1"}).ok());
 
-  // Worker count must be explicit and positive; 0 (auto-detect) is a
-  // config-file/API default, not a CLI spelling.
+  CliParse Four = parse({"--search-threads", "4"});
+  EXPECT_FALSE(Four.ok());
+  EXPECT_NE(Four.Error.find("--search-threads"), std::string::npos)
+      << Four.Error;
   EXPECT_FALSE(parse({"--search-threads", "0"}).ok());
-  EXPECT_FALSE(parse({"--search-threads", "-1"}).ok());
   EXPECT_FALSE(parse({"--search-threads", "many"}).ok());
   EXPECT_FALSE(parse({"--search-threads"}).ok()); // missing value
 }

@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
+
 using namespace stagg;
 using namespace stagg::core;
 
@@ -37,7 +42,69 @@ void expectSound(const std::string &Name, const LiftResult &R) {
                              << VR.Counterexample;
 }
 
+/// Splits one line of tests/expected_sweep.csv: comma-separated fields,
+/// double-quoted when they contain a comma, with "" for a literal quote.
+/// Python's csv module ends rows with CRLF; the CR is dropped.
+std::vector<std::string> splitCsvLine(std::string Line) {
+  if (!Line.empty() && Line.back() == '\r')
+    Line.pop_back();
+  std::vector<std::string> Fields(1);
+  bool Quoted = false;
+  for (size_t I = 0; I < Line.size(); ++I) {
+    char C = Line[I];
+    if (Quoted && C == '"' && I + 1 < Line.size() && Line[I + 1] == '"') {
+      Fields.back() += '"';
+      ++I;
+    } else if (C == '"') {
+      Quoted = !Quoted;
+    } else if (C == ',' && !Quoted) {
+      Fields.emplace_back();
+    } else {
+      Fields.back() += C;
+    }
+  }
+  return Fields;
+}
+
 } // namespace
+
+// The registry-wide pin of tests/expected_sweep.csv: every kernel lifts
+// with the settings of `scripts/full_sweep.py` (the CLI defaults, its
+// oracle seed, and a 30 s timeout) to the recorded solved flag, attempt
+// and expansion counters, and lifted program or fail reason.
+TEST(Pipeline, RegistrySweepMatchesExpected) {
+  std::ifstream In(STAGG_SOURCE_DIR "/tests/expected_sweep.csv");
+  ASSERT_TRUE(In) << "cannot open tests/expected_sweep.csv";
+  std::string Line;
+  ASSERT_TRUE(std::getline(In, Line));
+  ASSERT_EQ(splitCsvLine(Line),
+            (std::vector<std::string>{"benchmark", "category", "solved",
+                                      "attempts", "expansions", "detail"}));
+  std::map<std::string, std::vector<std::string>> Expected;
+  while (std::getline(In, Line)) {
+    std::vector<std::string> Row = splitCsvLine(Line);
+    ASSERT_EQ(Row.size(), 6u) << Line;
+    Expected[Row[0]] = Row;
+  }
+  ASSERT_EQ(Expected.size(), bench::allBenchmarks().size());
+
+  StaggConfig Config;
+  Config.Search.TimeoutSeconds = 30;
+  llm::SimulatedLlm Oracle(20250411);
+  for (const bench::Benchmark &B : bench::allBenchmarks()) {
+    auto It = Expected.find(B.Name);
+    ASSERT_NE(It, Expected.end()) << B.Name << " is not in the CSV";
+    const std::vector<std::string> &Want = It->second;
+    LiftResult R = liftBenchmark(B, Oracle, Config);
+    std::string Detail =
+        R.Solved ? taco::printProgram(R.Concrete) : R.FailReason;
+    ASSERT_EQ(R.Solved ? "1" : "0", Want[2]) << B.Name << ": solved";
+    ASSERT_EQ(std::to_string(R.Attempts), Want[3]) << B.Name << ": attempts";
+    ASSERT_EQ(std::to_string(R.Expansions), Want[4])
+        << B.Name << ": expansions";
+    ASSERT_EQ(Detail, Want[5]) << B.Name << ": detail";
+  }
+}
 
 TEST(Pipeline, LiftsTheMotivatingExample) {
   LiftResult R = lift("blas_gemv_ptr");

@@ -12,7 +12,6 @@
 #include "llm/ResponseParser.h"
 #include "llm/SimulatedLlm.h"
 #include "search/CostModel.h"
-#include "search/Frontier.h"
 #include "search/Penalty.h"
 #include "search/TemplateState.h"
 #include "taco/Parser.h"
@@ -22,9 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <map>
+#include <stdexcept>
+#include <thread>
 
 using namespace stagg;
 using namespace stagg::search;
@@ -209,6 +211,48 @@ TEST(TopDown, AttemptBudgetStopsSearch) {
   });
   EXPECT_FALSE(R.Solved);
   EXPECT_LE(R.Attempts, 3);
+}
+
+// A probe exception surfaces to the caller with its type intact, and the
+// next search runs normally.
+TEST(TopDown, ProbeExceptionPropagates) {
+  TemplateGrammar G =
+      makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)"}, 1);
+  SearchConfig Config;
+  Config.MaxAttempts = 100;
+
+  int Probes = 0;
+  EXPECT_THROW(runTopDown(G, Config,
+                          [&Probes](const taco::Program &) -> bool {
+                            if (++Probes == 5)
+                              throw std::runtime_error("validator blew up");
+                            return false;
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(Probes, 5);
+
+  SearchResult R = runTopDown(G, Config, [](const taco::Program &) {
+    return false;
+  });
+  EXPECT_EQ(R.FailReason, "budget exhausted");
+}
+
+// The wall-clock budget stops a search whose probes are slow.
+TEST(TopDown, TimeoutStopsSearch) {
+  TemplateGrammar G = makeGrammar(
+      {"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)", "r(i) = m(i,j) + v(i)"},
+      1);
+  SearchConfig Config;
+  Config.MaxAttempts = 10'000;
+  Config.TimeoutSeconds = 0.05;
+
+  SearchResult R = runTopDown(G, Config, [](const taco::Program &) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return false;
+  });
+  EXPECT_FALSE(R.Solved);
+  EXPECT_EQ(R.FailReason, "timeout");
+  EXPECT_LT(R.Attempts, Config.MaxAttempts);
 }
 
 TEST(BottomUp, FindsChainTemplate) {
@@ -507,7 +551,7 @@ TEST(TemplateState, IncrementalMetricsMatchFullWalkOnRegistryGrammars) {
     };
     std::unique_ptr<CandidateStream> Stream =
         makeTopDownStream(G, Config, Observer);
-    Candidate Out;
+    taco::Program Out;
     while (Stream->next(Out)) {
     }
     EXPECT_LE(Stream->expansions(), Pops) << B.Name;
