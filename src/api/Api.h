@@ -59,8 +59,6 @@ struct ConfigPatch {
   std::optional<int64_t> VerifyMaxSize;        ///< "verify_max_size"
   std::optional<bool> FullGrammar;             ///< "full_grammar"
   std::optional<bool> EqualProbability;        ///< "equal_probability"
-  std::optional<bool> UseVm;                   ///< "use_vm"
-  std::optional<bool> UseVmOpt;                ///< "use_vm_opt"
   std::optional<int> ExecuteThreads;           ///< "execute_threads"
 
   bool empty() const;

@@ -33,7 +33,7 @@ bool ConfigPatch::empty() const {
   return !Kind && !NumCandidates && !NumIoExamples && !ExampleSeed &&
          !SkipVerification && !TimeoutSeconds && !MaxDepth &&
          !MaxExpansions && !MaxAttempts && !VerifyMaxSize && !FullGrammar &&
-         !EqualProbability && !UseVm && !UseVmOpt && !ExecuteThreads;
+         !EqualProbability && !ExecuteThreads;
 }
 
 core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
@@ -62,10 +62,6 @@ core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
     Out.Grammar.FullGrammar = *FullGrammar;
   if (EqualProbability)
     Out.Grammar.EqualProbability = *EqualProbability;
-  if (UseVm)
-    Out.UseVm = *UseVm;
-  if (UseVmOpt)
-    Out.UseVmOpt = *UseVmOpt;
   if (ExecuteThreads)
     Out.Serve.ExecuteThreads = *ExecuteThreads;
   return Out;
@@ -143,10 +139,6 @@ std::string ConfigPatch::fromJson(const Json &Object, ConfigPatch &Out) {
       Error = expectBool(Value, "full_grammar", Out.FullGrammar);
     } else if (Key == "equal_probability") {
       Error = expectBool(Value, "equal_probability", Out.EqualProbability);
-    } else if (Key == "use_vm") {
-      Error = expectBool(Value, "use_vm", Out.UseVm);
-    } else if (Key == "use_vm_opt") {
-      Error = expectBool(Value, "use_vm_opt", Out.UseVmOpt);
     } else if (Key == "execute_threads") {
       Error = expectPositiveInt(Value, "execute_threads", Out.ExecuteThreads,
                                 std::numeric_limits<int>::max());
@@ -186,10 +178,6 @@ Json ConfigPatch::toJson() const {
     Out.set("full_grammar", Json::boolean(*FullGrammar));
   if (EqualProbability)
     Out.set("equal_probability", Json::boolean(*EqualProbability));
-  if (UseVm)
-    Out.set("use_vm", Json::boolean(*UseVm));
-  if (UseVmOpt)
-    Out.set("use_vm_opt", Json::boolean(*UseVmOpt));
   if (ExecuteThreads)
     Out.set("execute_threads", Json::integer(*ExecuteThreads));
   return Out;

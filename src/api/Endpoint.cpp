@@ -216,13 +216,13 @@ Endpoint::compiledFor(const taco::Program &Concrete) {
     ++VmStats.Misses;
   }
   auto K = std::make_shared<CompiledKernel>();
-  K->Program = Concrete; // deep clone; both Codes point into *this* copy
-  K->Code = vm::compileProgram(K->Program);
+  K->Program = Concrete; // deep clone; the Code points into *this* copy
   // A concrete lifted program's constants are literals nothing rewrites, so
-  // the optimizer may merge equal-valued constant registers.
+  // the optimizer may merge equal-valued constant registers. A program that
+  // does not lower comes back !ok() with the compiler's diagnostic.
   vm::OptimizeOptions OptOpts;
   OptOpts.FreezeConstants = true;
-  K->Opt = vm::optimize(K->Code, OptOpts);
+  K->Code = vm::optimize(vm::compileProgram(K->Program), OptOpts);
   std::lock_guard<std::mutex> Lock(VmCacheMutex);
   if (VmCache.size() >= 256) {
     VmCache.clear(); // same wholesale policy as the ingest memo
@@ -341,7 +341,6 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     return Out;
   }
   core::StaggConfig Effective = Request.Patch.apply(Base);
-  const vm::Code &Code = Effective.UseVmOpt ? K->Opt : K->Code;
   std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Io.Sizes);
 
   // Tile when the request asks for threads and the output is big enough to
@@ -362,7 +361,7 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     std::vector<std::string> TileErrors(static_cast<size_t>(Tiles));
     support::WorkerPool Pool;
     Pool.run(Tiles, [&](int Worker) {
-      vm::Interpreter<double> Tile(Code);
+      vm::Interpreter<double> Tile(K->Code);
       if (!Tile.bindMap(Operands, OutShape)) {
         TileErrors[static_cast<size_t>(Worker)] = Tile.error();
         return;
@@ -381,7 +380,7 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     return Out;
   }
 
-  vm::Interpreter<double> Interp(Code);
+  vm::Interpreter<double> Interp(K->Code);
   if (!Interp.bindMap(Operands, OutShape)) {
     Out.Error = "failed to bind inputs: " + Interp.error();
     return Out;

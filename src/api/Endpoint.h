@@ -140,15 +140,13 @@ private:
   /// long-tailed).
   IngestResult ingestCached(const LiftRequest &Request);
 
-  /// One lifted program compiled to VM bytecode, in both the raw and the
-  /// vm::optimize'd form (the per-request "use_vm_opt" patch picks one at
-  /// execution time). The Program member owns the expression trees both
-  /// Codes point into, so an entry is immutable and safely shared by any
-  /// number of concurrent executions.
+  /// One lifted program compiled to vm::optimize'd VM bytecode. The
+  /// Program member owns the expression trees the Code points into, so an
+  /// entry is immutable and safely shared by any number of concurrent
+  /// executions.
   struct CompiledKernel {
     taco::Program Program;
-    vm::Code Code; ///< Raw compiler output.
-    vm::Code Opt;  ///< vm::optimize(Code) with constants frozen.
+    vm::Code Code; ///< vm::optimize'd with constants frozen.
   };
 
   /// The bytecode cache lookup (keyed on the printed program text, the

@@ -3,6 +3,7 @@
 #include "cfront/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace stagg;
 using namespace stagg::cfront;
@@ -15,6 +16,13 @@ static bool isKeyword(const std::string &Word) {
     if (Word == K)
       return true;
   return false;
+}
+
+/// Parses the decimal digit string \p Digits; false when it overflows.
+static bool toInt64(const std::string &Digits, int64_t &Out) {
+  const char *End = Digits.data() + Digits.size();
+  auto [Ptr, Ec] = std::from_chars(Digits.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
 std::vector<CToken> cfront::lexC(const std::string &Source) {
@@ -92,18 +100,22 @@ std::vector<CToken> cfront::lexC(const std::string &Source) {
         while (!FracPart.empty() &&
                (FracPart.back() == 'f' || FracPart.back() == 'F'))
           FracPart.pop_back();
-        Tok.Kind = CTokKind::Float;
         Tok.Spelling = Source.substr(Start, I - Start);
-        Tok.FloatScale = static_cast<int>(FracPart.size());
-        Tok.FloatMantissa = std::stoll(IntPart + (FracPart.empty() ? "0" : FracPart));
-        if (FracPart.empty())
-          Tok.FloatScale = 1; // "2." == 20 / 10^1
+        // "2." == 20 / 10^1. A literal whose mantissa or 10^scale
+        // denominator does not fit int64 lexes as Invalid, which the
+        // parser reports at its line.
+        Tok.FloatScale =
+            FracPart.empty() ? 1 : static_cast<int>(FracPart.size());
+        std::string Digits = IntPart + (FracPart.empty() ? "0" : FracPart);
+        Tok.Kind = Tok.FloatScale <= 18 && toInt64(Digits, Tok.FloatMantissa)
+                       ? CTokKind::Float
+                       : CTokKind::Invalid;
         Tokens.push_back(std::move(Tok));
         continue;
       }
-      Tok.Kind = CTokKind::Integer;
       Tok.Spelling = Source.substr(Start, I - Start);
-      Tok.IntValue = std::stoll(Tok.Spelling);
+      Tok.Kind = toInt64(Tok.Spelling, Tok.IntValue) ? CTokKind::Integer
+                                                      : CTokKind::Invalid;
       Tokens.push_back(std::move(Tok));
       continue;
     }

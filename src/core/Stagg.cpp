@@ -119,11 +119,6 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
   // the configFingerprint note below.
   verify::VerifyOptions Verify = Config.Verify;
   Verify.TrustStaticBounds = Check.BoundsProvenSafe;
-  // The engine choice is a pipeline-level knob so the validator and the
-  // verifier always agree; Config.Verify.UseVm/UseVmOpt are overwritten
-  // here.
-  Verify.UseVm = Config.UseVm;
-  Verify.UseVmOpt = Config.UseVmOpt;
 
   // The enumerator is built before the validator, so the search clock
   // covers validator set-up. The order also matters for speed: built the
@@ -136,7 +131,7 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
 
   // The probe's working state: the validator, the reference cache, and
   // the slot holding the instantiation that made it return true.
-  validate::Validator V(B, Examples, Summary.Constants, Config.UseVm);
+  validate::Validator V(B, Examples, Summary.Constants);
   verify::ReferenceCache VerifyCache;
   taco::Program Concrete;
   search::TemplateProbe Probe = [&](const taco::Program &Template) {
@@ -207,11 +202,6 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(Config.NumIoExamples));
   Add(std::to_string(Config.ExampleSeed));
   Add(Config.SkipVerification ? "noverify" : "verify");
-  // Fingerprinted even though VM and tree-walk verdicts are bit-identical:
-  // a cached result should record exactly which engine produced it.
-  Add(Config.UseVm ? "vm" : "novm");
-  // Same record-keeping rationale for the VM optimizer passes.
-  Add(Config.UseVmOpt ? "vmopt" : "novmopt");
   const grammar::GrammarOptions &G = Config.Grammar;
   Add(std::string(G.FullGrammar ? "fg" : "-") +
       (G.EqualProbability ? "ep" : "-"));
@@ -228,9 +218,9 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(S.MaxExpansions));
   Add(std::to_string(S.MaxAttempts));
   // The one Serve knob that IS fingerprinted: execute-path tiling is
-  // patchable per request ("execute_threads") and, like UseVm, a cached
-  // result should record how it was produced even though tiles are
-  // bit-identical to the serial pass.
+  // patchable per request ("execute_threads"), and a cached result should
+  // record how it was produced even though tiles are bit-identical to the
+  // serial pass.
   Add("x" + std::to_string(Config.Serve.ExecuteThreads));
   const verify::VerifyOptions &V = Config.Verify;
   Add(std::to_string(V.MaxSize));
@@ -240,6 +230,8 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(V.Seed));
   // V.TrustStaticBounds is deliberately absent: liftBenchmark derives it
   // from the kernel itself (the checker's bounds proof), so for a given
-  // (kernel, config) cache key it is a constant, not a knob.
+  // (kernel, config) cache key it is a constant, not a knob. V.UseVmOpt is
+  // absent too: it only picks between bit-identical instruction streams,
+  // and nothing reachable from the CLI or the wire sets it.
   return F;
 }

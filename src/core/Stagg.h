@@ -115,20 +115,12 @@ struct StaggConfig {
   /// Skip bounded verification (I/O-only acceptance, like C2TACO).
   bool SkipVerification = false;
 
-  /// Evaluate candidates through the bytecode VM (src/vm) in the validator
-  /// and the bounded verifier. Results are bit-identical with the tree-walk
-  /// (`--no-vm` flips this off for A/B runs); it is fingerprinted anyway so
-  /// cached serve results always record which engine produced them.
+  /// Ignored: kept so liftbench/ compiles unchanged.
   bool UseVm = true;
 
-  /// Run vm::optimize over the programs the bounded verifier and `execute`
-  /// compile (load hoisting, fused span superinstructions, dead-register
-  /// elimination) before execution. The validator always runs the raw
-  /// stream: it evaluates each template only a few times on tiny examples,
-  /// so optimizing would cost more than it saves. Results are bit-identical
-  /// with the raw stream — the passes preserve accumulation order exactly
-  /// (`--no-vm-opt` flips this off for A/B runs); fingerprinted for the
-  /// same record-keeping reason as UseVm. Ignored when UseVm is false.
+  /// Run vm::optimize over the programs `stagg disasm` prints (`--no-vm-opt`
+  /// shows the raw stream instead). The verifier and `execute` always run
+  /// the optimized stream and the validator the raw one.
   bool UseVmOpt = true;
 
   /// Serving-layer knobs (queue depth, batching, result cache).

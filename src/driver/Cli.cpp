@@ -68,8 +68,8 @@ const std::vector<std::string> &knownFlags() {
       "--help",          "-h",
       "--list",          "--verbose",
       "-v",              "--no-verify",
-      "--no-vm",         "--no-vm-opt",
-      "--full-grammar",  "--equal-probability",
+      "--no-vm-opt",     "--full-grammar",
+      "--equal-probability",
       "--cache-stats",   "--suite",
       "--repeat",        "--execute-threads",
       "--search",        "--drop-penalty",
@@ -185,13 +185,14 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
   // First flag of each applicability class seen, for the mode cross-checks
   // after the loop: RunOnly flags belong to the batch table run, SuiteFlags
   // to any suite-selecting mode (batch or bench), BenchOnly to `stagg
-  // bench`.
+  // bench`, and so on.
   std::string RunOnly;
   std::string SuiteFlag;
   std::string BenchOnly;
   std::string FormatFlag;
   std::string CheckOnly;
   std::string ServeOnly;
+  std::string DisasmOnly;
   for (; I < Args.size(); ++I) {
     // Positional arguments are subcommands: `serve` or `bench`.
     if (!Args[I].empty() && Args[I][0] != '-') {
@@ -241,7 +242,7 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
     bool IsBoolean = F.Name == "--help" || F.Name == "-h" ||
                      F.Name == "--list" || F.Name == "--verbose" ||
                      F.Name == "-v" || F.Name == "--no-verify" ||
-                     F.Name == "--no-vm" || F.Name == "--no-vm-opt" ||
+                     F.Name == "--no-vm-opt" ||
                      F.Name == "--full-grammar" ||
                      F.Name == "--equal-probability" ||
                      F.Name == "--cache-stats" || F.Name == "--Werror";
@@ -259,10 +260,9 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       O.Verbose = true;
     } else if (F.Name == "--no-verify") {
       O.Config.SkipVerification = true;
-    } else if (F.Name == "--no-vm") {
-      O.Config.UseVm = false;
     } else if (F.Name == "--no-vm-opt") {
       O.Config.UseVmOpt = false;
+      DisasmOnly = F.Name;
     } else if (F.Name == "--full-grammar") {
       O.Config.Grammar.FullGrammar = true;
     } else if (F.Name == "--equal-probability") {
@@ -561,6 +561,8 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
                     "arrive over the socket)";
     else if (O.Mode != DriverMode::Check && !CheckOnly.empty())
       Parse.Error = CheckOnly + " only applies to `stagg check`";
+    else if (O.Mode != DriverMode::Disasm && !DisasmOnly.empty())
+      Parse.Error = DisasmOnly + " only applies to `stagg disasm`";
     else if (O.Mode != DriverMode::Check && O.Format == OutputFormat::Json)
       Parse.Error = "--format json only applies to `stagg check`";
     else if (O.Mode == DriverMode::Check && !RunOnly.empty())
@@ -662,15 +664,6 @@ std::string driver::usage() {
      << "\n"
      << "Ablations (paper Tables 2/3):\n"
      << "  --no-verify         accept on I/O validation only (C2TACO-style)\n"
-     << "  --no-vm             evaluate candidates with the tree-walking\n"
-     << "                      evaluator instead of the bytecode VM (A/B;\n"
-     << "                      results are bit-identical, just slower)\n"
-     << "  --no-vm-opt         run the raw VM instruction stream in the\n"
-     << "                      verifier and execute, skipping vm::optimize\n"
-     << "                      (load hoisting, fused spans, dead-register\n"
-     << "                      elimination; A/B — results are bit-identical,\n"
-     << "                      just slower). The validator always runs the\n"
-     << "                      raw stream\n"
      << "  --full-grammar      FullGrammar: skip dimension refinement\n"
      << "  --equal-probability EqualProbability: uniform rule weights\n"
      << "  --drop-penalty P    disable penalty a1..a5|b1|b2, or a|b|all;\n"
@@ -731,6 +724,11 @@ std::string driver::usage() {
      << "                      the --suite selection\n"
      << "  --format table|json human table (default) or one JSON report\n"
      << "  --Werror            warnings also fail the lint (exit 1)\n"
+     << "\n"
+     << "Disassembly (stagg disasm):\n"
+     << "  --no-vm-opt         print the raw compiler output instead of the\n"
+     << "                      vm::optimize'd stream the verifier and\n"
+     << "                      execute run\n"
      << "\n"
      << "Execution and output:\n"
      << "  --threads N         worker pool width (default: hardware)\n"

@@ -18,10 +18,11 @@
 ///
 /// This evaluator replaces the paper's pipeline of TACO codegen + JAX/MLIR
 /// lowering: it *is* the semantics both toolchains implement for the dense
-/// fragment, so validation and verification are unchanged.
+/// fragment. Validation, verification and `execute` run the bytecode VM
+/// (src/vm), which lowers the same EinsumProgram; the tree-walk here is the
+/// reference the VM is tested against.
 ///
-/// Evaluation is split into two phases so the validator can amortize the
-/// expensive one:
+/// Evaluation is split into two phases so the expensive one is amortized:
 ///
 ///  * EinsumProgram — *structure compilation*, once per program: index
 ///    variables become integer slots into a flat coordinate array, the
@@ -74,10 +75,10 @@ template <typename T> struct EinsumResult {
   }
 };
 
-/// Outcome of einsumCompare: the evaluation matched the expected output
-/// cell-for-cell, some cell failed the predicate, or the program could not
-/// be evaluated at all (binding/rank/extent error).
-enum class EinsumCompare { Match, Mismatch, Error };
+/// Outcome of vm::Interpreter::compare: the evaluation matched the expected
+/// output cell-for-cell, or some cell failed the predicate (or the expected
+/// output has the wrong size).
+enum class EinsumCompare { Match, Mismatch };
 
 namespace detail {
 
@@ -483,32 +484,6 @@ public:
     return EinsumResult<T>::success(std::move(Output));
   }
 
-  /// Evaluates cell by cell against \p Want, stopping at the first cell for
-  /// which \p CellOk(got, want) is false. Verdicts equal those of
-  /// evaluate() followed by a full comparison: binding errors are all
-  /// raised in bind(), and cells are compared independently. Requires
-  /// bind().
-  template <typename CellOkFn>
-  EinsumCompare compare(const std::vector<T> &Want, CellOkFn &&CellOk) {
-    assert(Bound && "compare() requires a successful bind()");
-    size_t Total = 1;
-    for (int64_t D : OutShape)
-      Total *= static_cast<size_t>(D);
-    if (Want.size() != Total)
-      return EinsumCompare::Mismatch;
-
-    const std::vector<int> &OutSlots = S.outSlots();
-    std::vector<int64_t> OutCoord(OutSlots.size(), 0);
-    size_t Linear = 0;
-    do {
-      for (size_t I = 0; I < OutSlots.size(); ++I)
-        Coords[OutSlots[I]] = OutCoord[I];
-      if (!CellOk(evalNode(S.root()), Want[Linear++]))
-        return EinsumCompare::Mismatch;
-    } while (detail::advanceCounter(OutCoord, OutShape));
-    return EinsumCompare::Match;
-  }
-
 private:
   struct AccessBind {
     const std::vector<T> *Data = nullptr;
@@ -699,23 +674,6 @@ evalEinsumSequence(const std::vector<Program> &Statements,
     return EinsumResult<T>::failure("statement list never defines '" +
                                     OutputName + "'");
   return EinsumResult<T>::success(std::move(It->second));
-}
-
-/// Compares the evaluation of \p P against the expected flat output \p Want
-/// cell by cell (row-major), short-circuiting on the first cell for which
-/// \p CellOk(got, want) is false. Equivalent to evalEinsum + a full
-/// comparison, but never materializes the output tensor and stops early on
-/// a mismatch — the validator's instantiation-check fast path.
-template <typename T, typename CellOkFn>
-EinsumCompare einsumCompare(const Program &P,
-                            const std::map<std::string, Tensor<T>> &Operands,
-                            const std::vector<int64_t> &OutputShape,
-                            const std::vector<T> &Want, CellOkFn &&CellOk) {
-  EinsumProgram Compiled(P);
-  EinsumEvaluator<T> Evaluator(Compiled);
-  if (!Compiled.ok() || !Evaluator.bindMap(Operands, OutputShape))
-    return EinsumCompare::Error;
-  return Evaluator.compare(Want, std::forward<CellOkFn>(CellOk));
 }
 
 } // namespace taco

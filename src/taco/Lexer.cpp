@@ -3,6 +3,7 @@
 #include "taco/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace stagg;
 using namespace stagg::taco;
@@ -44,9 +45,12 @@ std::vector<Token> taco::lexTaco(const std::string &Source) {
         Tokens.push_back(std::move(Tok));
         continue;
       }
-      Tok.Kind = TokKind::Integer;
+      // So is an integer literal that does not fit int64.
       Tok.Spelling = Source.substr(Start, I - Start);
-      Tok.IntValue = std::stoll(Tok.Spelling);
+      const char *End = Tok.Spelling.data() + Tok.Spelling.size();
+      auto [Ptr, Ec] = std::from_chars(Tok.Spelling.data(), End, Tok.IntValue);
+      Tok.Kind = Ec == std::errc() && Ptr == End ? TokKind::Integer
+                                                 : TokKind::Invalid;
       Tokens.push_back(std::move(Tok));
       continue;
     }

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <functional>
-#include <optional>
 
 using namespace stagg;
 using namespace stagg::validate;
@@ -65,9 +64,8 @@ taco::Program validate::instantiateTemplate(
 }
 
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-                     std::vector<int64_t> Constants, bool UseVm, bool)
-    : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
-      UseVm(UseVm) {
+                     std::vector<int64_t> Constants, bool, bool)
+    : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
@@ -500,21 +498,12 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
                              withConstantSlots(*Template.Rhs, Slots.Nodes));
   const Program &EvalProgram = W.ConstLeaves > 0 ? Slots.Concrete : Template;
   // The VM lowering delegates slot assignment and reduction placement to
-  // the same structure compiler, so when it succeeds the compiled bytecode
-  // evaluates cell-for-cell in the tree-walk's order and the verdicts stay
-  // bit-identical. Any lowering failure falls back to the tree-walk, whose
-  // EinsumProgram is only built on that path (a candidate is validated
-  // once, so the compile is paid per call and must not be paid twice).
-  vm::Code VmProgram;
-  if (UseVm)
-    VmProgram = vm::compileProgram(EvalProgram);
-  const bool ViaVm = UseVm && VmProgram.ok();
-  std::optional<taco::EinsumProgram> Compiled;
-  if (!ViaVm) {
-    Compiled.emplace(EvalProgram);
-    if (!Compiled->ok())
-      return Valid;
-  }
+  // the reference evaluator's structure compiler (taco/Einsum.h), so the
+  // bytecode evaluates cell-for-cell in the reference order. A template
+  // that does not lower has no instantiations.
+  const vm::Code VmProgram = vm::compileProgram(EvalProgram);
+  if (!VmProgram.ok())
+    return Valid;
 
   W.Pick.assign(NumBound, 0);
   auto OptionOf = [&W](size_t I) {
@@ -560,107 +549,93 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
 
   // Odometer over symbol bindings x constant assignments, exactly the naive
   // enumeration order; shape-incompatible bindings are skipped wholesale
-  // (their entire constant block would have failed evaluation). The loop is
-  // generic over the evaluator vector so the VM and the tree-walk share one
-  // definition of the enumeration (and thus one enumeration order).
+  // (their entire constant block would have failed evaluation).
   const size_t NumConsts = static_cast<size_t>(W.ConstLeaves);
   W.ConstPick.assign(NumConsts, 0);
   W.ConstValues.assign(NumConsts, 0);
-  auto RunEnum = [&](auto &Evaluators) {
-    // Examples are (re)bound lazily per binding, preserving the fail-fast
-    // behavior of the naive loop: a binding rejected on the first example
-    // never pays for the others.
-    uint64_t BindEpoch = 0;
-    W.BoundEpoch.assign(NumExamples, 0);
-    W.BindOk.assign(NumExamples, 0);
-    auto EnsureBound = [&](size_t E) -> bool {
-      if (W.BoundEpoch[E] == BindEpoch)
-        return W.BindOk[E];
-      W.BoundEpoch[E] = BindEpoch;
-      CurExample = E;
-      W.BindOk[E] = Evaluators[E].bind(Resolve, PerExample[E].OutShape);
+  std::vector<vm::Interpreter<double>> Evaluators(
+      NumExamples, vm::Interpreter<double>(VmProgram));
+  // Examples are (re)bound lazily per binding, preserving the fail-fast
+  // behavior of the naive loop: a binding rejected on the first example
+  // never pays for the others.
+  uint64_t BindEpoch = 0;
+  W.BoundEpoch.assign(NumExamples, 0);
+  W.BindOk.assign(NumExamples, 0);
+  auto EnsureBound = [&](size_t E) -> bool {
+    if (W.BoundEpoch[E] == BindEpoch)
       return W.BindOk[E];
-    };
-
-    for (;;) {
-      if (BindingShapesConsistent()) {
-        ++BindEpoch;
-        for (bool More = true; More;) {
-          for (size_t I = 0; I < NumConsts; ++I) {
-            W.ConstValues[I] = Constants[W.ConstPick[I]];
-            Slots.Nodes[I]->setValue(W.ConstValues[I]);
-          }
-
-          ++Tried;
-          bool Consistent = true;
-          for (size_t E = 0; E < NumExamples; ++E) {
-            if (!EnsureBound(E)) {
-              Consistent = false;
-              break;
-            }
-            Evaluators[E].refreshConstants();
-            if (Evaluators[E].compare(Examples[E].Expected.flat(),
-                                      cellsMatch) !=
-                taco::EinsumCompare::Match) {
-              Consistent = false;
-              break;
-            }
-          }
-
-          if (Consistent) {
-            Instantiation Inst;
-            Inst.SymbolBinding[Template.Lhs.name()] = Out.Name;
-            for (size_t I = 0; I < NumBound; ++I)
-              Inst.SymbolBinding[*W.Symbols[static_cast<size_t>(W.Bound[I])]] =
-                  B.Args[static_cast<size_t>(W.Options[OptionOf(I)])].Name;
-            Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
-                                                W.ConstValues);
-            Inst.ConstantValues = W.ConstValues;
-            Valid.push_back(std::move(Inst));
-            if (Valid.size() >= MaxResults)
-              return;
-          }
-
-          // Advance the constant odometer.
-          size_t Axis = NumConsts;
-          bool Wrapped = true;
-          while (Axis > 0) {
-            --Axis;
-            if (++W.ConstPick[Axis] < Constants.size()) {
-              Wrapped = false;
-              break;
-            }
-            W.ConstPick[Axis] = 0;
-          }
-          if (NumConsts == 0 || Wrapped)
-            More = false;
-        }
-      }
-
-      // Advance the symbol odometer.
-      size_t Axis = NumBound;
-      bool Wrapped = true;
-      while (Axis > 0) {
-        --Axis;
-        if (W.OptionsAt[Axis] + ++W.Pick[Axis] < W.OptionsAt[Axis + 1]) {
-          Wrapped = false;
-          break;
-        }
-        W.Pick[Axis] = 0;
-      }
-      if (NumBound == 0 || Wrapped)
-        return;
-    }
+    W.BoundEpoch[E] = BindEpoch;
+    CurExample = E;
+    W.BindOk[E] = Evaluators[E].bind(Resolve, PerExample[E].OutShape);
+    return W.BindOk[E];
   };
 
-  if (ViaVm) {
-    std::vector<vm::Interpreter<double>> Evaluators(
-        NumExamples, vm::Interpreter<double>(VmProgram));
-    RunEnum(Evaluators);
-  } else {
-    std::vector<taco::EinsumEvaluator<double>> Evaluators(
-        NumExamples, taco::EinsumEvaluator<double>(*Compiled));
-    RunEnum(Evaluators);
+  for (;;) {
+    if (BindingShapesConsistent()) {
+      ++BindEpoch;
+      for (bool More = true; More;) {
+        for (size_t I = 0; I < NumConsts; ++I) {
+          W.ConstValues[I] = Constants[W.ConstPick[I]];
+          Slots.Nodes[I]->setValue(W.ConstValues[I]);
+        }
+
+        ++Tried;
+        bool Consistent = true;
+        for (size_t E = 0; E < NumExamples; ++E) {
+          if (!EnsureBound(E)) {
+            Consistent = false;
+            break;
+          }
+          Evaluators[E].refreshConstants();
+          if (Evaluators[E].compare(Examples[E].Expected.flat(), cellsMatch) !=
+              taco::EinsumCompare::Match) {
+            Consistent = false;
+            break;
+          }
+        }
+
+        if (Consistent) {
+          Instantiation Inst;
+          Inst.SymbolBinding[Template.Lhs.name()] = Out.Name;
+          for (size_t I = 0; I < NumBound; ++I)
+            Inst.SymbolBinding[*W.Symbols[static_cast<size_t>(W.Bound[I])]] =
+                B.Args[static_cast<size_t>(W.Options[OptionOf(I)])].Name;
+          Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
+                                              W.ConstValues);
+          Inst.ConstantValues = W.ConstValues;
+          Valid.push_back(std::move(Inst));
+          if (Valid.size() >= MaxResults)
+            return Valid;
+        }
+
+        // Advance the constant odometer.
+        size_t Axis = NumConsts;
+        bool Wrapped = true;
+        while (Axis > 0) {
+          --Axis;
+          if (++W.ConstPick[Axis] < Constants.size()) {
+            Wrapped = false;
+            break;
+          }
+          W.ConstPick[Axis] = 0;
+        }
+        if (NumConsts == 0 || Wrapped)
+          More = false;
+      }
+    }
+
+    // Advance the symbol odometer.
+    size_t Axis = NumBound;
+    bool Wrapped = true;
+    while (Axis > 0) {
+      --Axis;
+      if (W.OptionsAt[Axis] + ++W.Pick[Axis] < W.OptionsAt[Axis + 1]) {
+        Wrapped = false;
+        break;
+      }
+      W.Pick[Axis] = 0;
+    }
+    if (NumBound == 0 || Wrapped)
+      return Valid;
   }
-  return Valid;
 }

@@ -11,7 +11,8 @@
 /// RHS symbols to *any* argument of compatible rank (including the output
 /// and repeated bindings, exactly as in Fig. 8), and constant symbols to the
 /// integer literals collected from the source. Each instantiation is
-/// evaluated by the einsum reference evaluator against the I/O examples; all
+/// evaluated by the bytecode VM (vm::Interpreter over the raw vm::Code)
+/// against the I/O examples; all
 /// consistent instantiations are returned in enumeration order, so the
 /// verifier can reject one and fall back to the next.
 ///
@@ -61,7 +62,7 @@ struct Instantiation {
 ///    once per Validator and shared by every template (they depend only on
 ///    the argument, not the candidate), keyed by argument index;
 ///  * instantiation evaluation short-circuits on the first failing output
-///    cell of the first failing I/O example (taco::einsumCompare);
+///    cell of the first failing I/O example (vm::Interpreter::compare);
 ///  * the concrete program and symbol binding of an instantiation are only
 ///    built once it has passed every example.
 ///
@@ -71,16 +72,12 @@ struct Instantiation {
 class Validator {
 public:
   /// \p Constants is the literal pool harvested from the source by the
-  /// static analysis. \p UseVm selects the bytecode VM for instantiation
-  /// evaluation (bit-identical verdicts and order; the tree-walk remains
-  /// available behind `--no-vm` for A/B comparison). The validator runs
-  /// the raw VM code: each template is evaluated only a few times on tiny
-  /// examples, so vm::optimize would cost more than it saves. The trailing
-  /// flag is ignored; it keeps the signature of callers that still pass
-  /// the pipeline's `UseVmOpt`, which now only affects the verifier and
-  /// `execute`.
+  /// static analysis. Instantiations are evaluated by the raw VM code: each
+  /// template is evaluated only a few times on tiny examples, so
+  /// vm::optimize would cost more than it saves. The two trailing flags are
+  /// ignored; they are kept so liftbench/ compiles unchanged.
   Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-            std::vector<int64_t> Constants, bool UseVm = true,
+            std::vector<int64_t> Constants, bool /*Ignored*/ = true,
             bool /*Ignored*/ = true);
   ~Validator();
 
@@ -111,7 +108,6 @@ private:
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
-  bool UseVm = true;
   int OutArg = -1; ///< Index of the output argument, -1 when none.
   std::vector<ExampleEval> PerExample;
   /// Argument indices by rank, in argument order.

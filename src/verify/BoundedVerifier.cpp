@@ -5,7 +5,6 @@
 #include "cfront/Interp.h"
 #include "support/Rational.h"
 #include "support/Rng.h"
-#include "taco/Einsum.h"
 #include "taco/Printer.h"
 #include "taco/Semantics.h"
 #include "validate/IoExamples.h"
@@ -14,7 +13,6 @@
 #include "vm/Interpreter.h"
 
 #include <functional>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -111,15 +109,28 @@ collectMultipliedPairs(const Expr &E, const std::vector<std::string> &Inputs,
   return {};
 }
 
-/// What is being verified: one concrete program (compiled once), or an
-/// ordered statement list executed as one program.
+/// What is being verified: one concrete program, or an ordered statement
+/// list executed as one program; either way compiled once to bytecode.
 struct CandidateSpec {
   const Program *Single = nullptr;
-  const taco::EinsumProgram *Compiled = nullptr;         // when Single
   const std::vector<std::string> *RhsNames = nullptr;    // when Single
   const std::vector<Program> *Sequence = nullptr;
-  const vm::Code *Vm = nullptr; ///< Bytecode form, when compiled and enabled.
+  /// The compiled candidate. A candidate that does not lower is !ok(), and
+  /// every test then fails with the compiler's diagnostic.
+  const vm::Code *Vm = nullptr;
 };
+
+/// The code a whole sweep runs: \p Raw optimized unless Options.UseVmOpt is
+/// off. The candidate is concrete and its constants are never rewritten
+/// during a sweep, so the optimizer may freeze (and dedup) them.
+/// vm::optimize returns a !ok() input unchanged.
+vm::Code prepareForSweep(vm::Code Raw, const VerifyOptions &Options) {
+  if (!Options.UseVmOpt)
+    return Raw;
+  vm::OptimizeOptions OO;
+  OO.FreezeConstants = true;
+  return vm::optimize(Raw, OO);
+}
 
 /// One bounded test harness for a fixed shape assignment.
 class ShapeChecker {
@@ -128,13 +139,8 @@ public:
                const CandidateSpec &Spec,
                const std::map<std::string, int64_t> &Sizes,
                ReferenceCache *Cache, bool TrustBounds)
-      : B(B), Fn(Fn), Spec(Spec), Sizes(Sizes), Cache(Cache),
-        TrustBounds(TrustBounds) {
-    if (Spec.Vm)
-      VmEval.emplace(*Spec.Vm);
-    else if (Spec.Compiled)
-      Evaluator.emplace(*Spec.Compiled);
-  }
+      : B(B), Fn(Fn), Spec(Spec), VmEval(*Spec.Vm), Sizes(Sizes),
+        Cache(Cache), TrustBounds(TrustBounds) {}
 
   /// Runs both programs on the numeric inputs currently in \p Env; returns
   /// true on agreement, otherwise fills \p Witness.
@@ -162,26 +168,18 @@ public:
                                          Env.NumScalars.at(Arg.Name)));
         }
       }
-      if (VmEval) {
-        // Same evolving-environment semantics, but through the compiled
-        // statement list: scratch results forward to later statements and
-        // no per-test structure compilation happens.
-        Tensor<Rational> Out;
-        if (VmEval->run(
-                [&Operands](
-                    const std::string &Name) -> const Tensor<Rational> * {
-                  auto It = Operands.find(Name);
-                  return It == Operands.end() ? nullptr : &It->second;
-                },
-                OutArg->Name, Out))
-          TacoOut = EinsumResult<Rational>::success(std::move(Out));
-        else
-          TacoOut = EinsumResult<Rational>::failure(VmEval->error());
-      } else {
-        TacoOut = evalEinsumSequence<Rational>(*Spec.Sequence,
-                                               std::move(Operands),
-                                               OutArg->Name);
-      }
+      // The compiled statement list forwards scratch results to later
+      // statements; no per-test structure compilation happens.
+      Tensor<Rational> Out;
+      if (VmEval.run(
+              [&Operands](const std::string &Name) -> const Tensor<Rational> * {
+                auto It = Operands.find(Name);
+                return It == Operands.end() ? nullptr : &It->second;
+              },
+              OutArg->Name, Out))
+        TacoOut = EinsumResult<Rational>::success(std::move(Out));
+      else
+        TacoOut = EinsumResult<Rational>::failure(VmEval.error());
     } else {
       std::map<std::string, Tensor<Rational>> Operands;
       for (const std::string &Name : *Spec.RhsNames) {
@@ -208,16 +206,10 @@ public:
         auto It = Operands.find(Name);
         return It == Operands.end() ? nullptr : &It->second;
       };
-      if (VmEval) {
-        if (VmEval->bind(Lookup, OutShape))
-          TacoOut = VmEval->evaluate();
-        else
-          TacoOut = EinsumResult<Rational>::failure(VmEval->error());
-      } else if (Evaluator->bind(Lookup, OutShape)) {
-        TacoOut = Evaluator->evaluate();
-      } else {
-        TacoOut = EinsumResult<Rational>::failure(Evaluator->error());
-      }
+      if (VmEval.bind(Lookup, OutShape))
+        TacoOut = VmEval.evaluate();
+      else
+        TacoOut = EinsumResult<Rational>::failure(VmEval.error());
     }
 
     // C side, memoized on (sizes, pre-state): the reference interpretation
@@ -349,8 +341,7 @@ private:
   const bench::Benchmark &B;
   const cfront::CFunction &Fn;
   const CandidateSpec &Spec;
-  std::optional<taco::EinsumEvaluator<Rational>> Evaluator;
-  std::optional<vm::Interpreter<Rational>> VmEval;
+  vm::Interpreter<Rational> VmEval;
   const std::map<std::string, int64_t> &Sizes;
   ReferenceCache *Cache;
   bool TrustBounds; ///< VerifyOptions::TrustStaticBounds for this sweep.
@@ -485,10 +476,6 @@ VerifyResult verify::verifyEquivalence(const bench::Benchmark &B,
                                        const Program &Candidate,
                                        const VerifyOptions &Options,
                                        ReferenceCache *Cache) {
-  // Candidate structure, compiled once for all shapes and tests. The
-  // tree-walk program is only built when the bytecode path is off or the
-  // candidate does not lower — the VM artifact subsumes it otherwise.
-  std::optional<taco::EinsumProgram> Compiled;
   std::vector<std::string> RhsNames = rhsTensorNames(Candidate);
 
   // Pairs of operands the candidate multiplies together: only these need
@@ -502,28 +489,12 @@ VerifyResult verify::verifyEquivalence(const bench::Benchmark &B,
     collectMultipliedPairs(*Candidate.Rhs, InputNames, MulPairs);
   }
 
+  const vm::Code VmCode =
+      prepareForSweep(vm::compileProgram(Candidate), Options);
   CandidateSpec Spec;
   Spec.Single = &Candidate;
   Spec.RhsNames = &RhsNames;
-  // One bytecode artifact for the whole sweep; the tree-walk stays the
-  // fallback when lowering fails (or the VM is disabled for A/B).
-  vm::Code VmCode;
-  if (Options.UseVm) {
-    VmCode = vm::compileProgram(Candidate);
-    if (VmCode.ok() && Options.UseVmOpt) {
-      // The candidate is concrete and its constants are never rewritten
-      // during a sweep, so the optimizer may freeze (and dedup) them.
-      vm::OptimizeOptions OO;
-      OO.FreezeConstants = true;
-      VmCode = vm::optimize(VmCode, OO);
-    }
-    if (VmCode.ok())
-      Spec.Vm = &VmCode;
-  }
-  if (!Spec.Vm) {
-    Compiled.emplace(Candidate);
-    Spec.Compiled = &*Compiled;
-  }
+  Spec.Vm = &VmCode;
   return runBoundedSweep(B, Fn, Spec, Options, Cache,
                          Options.OneHotOnlyMultiplied, MulPairs);
 }
@@ -533,19 +504,11 @@ VerifyResult verify::verifyEquivalence(const bench::Benchmark &B,
                                        const std::vector<Program> &Candidate,
                                        const VerifyOptions &Options,
                                        ReferenceCache *Cache) {
+  const vm::Code VmCode =
+      prepareForSweep(vm::compileStatements(Candidate), Options);
   CandidateSpec Spec;
   Spec.Sequence = &Candidate;
-  vm::Code VmCode;
-  if (Options.UseVm) {
-    VmCode = vm::compileStatements(Candidate);
-    if (VmCode.ok() && Options.UseVmOpt) {
-      vm::OptimizeOptions OO;
-      OO.FreezeConstants = true; // concrete statement list; see above
-      VmCode = vm::optimize(VmCode, OO);
-    }
-    if (VmCode.ok())
-      Spec.Vm = &VmCode;
-  }
+  Spec.Vm = &VmCode;
   // Cross-statement data flow defeats the per-expression multiplied-pair
   // analysis; statement lists always get the exhaustive joint sweep.
   std::set<NamePair> None;

@@ -19,6 +19,8 @@
 ///
 /// On disagreement a readable counterexample is produced and the pipeline
 /// returns to the validator for the next substitution, exactly as in Fig. 1.
+/// The candidate is compiled once per call to bytecode and every test runs
+/// it through vm::Interpreter over rationals.
 ///
 /// Two hot-path optimizations keep the Fig. 1 loop cheap without changing
 /// verdicts:
@@ -76,17 +78,13 @@ struct VerifyOptions {
 
   uint64_t Seed = 0x57466; // "STAGG"-ish; any fixed value keeps runs stable.
 
-  /// Evaluate the candidate through the bytecode VM (vm::Interpreter over a
-  /// once-compiled vm::Code) instead of the tree-walking evaluator. Verdicts,
-  /// TestsRun, and counterexamples are bit-identical either way; the VM just
-  /// removes the per-test tree interpretation (and, for statement lists, the
-  /// per-test structure re-compilation). `--no-vm` disables it for A/B runs.
+  /// Ignored: kept so liftbench/ compiles unchanged.
   bool UseVm = true;
 
   /// Run vm::optimize over the compiled candidate (with constants frozen —
   /// a concrete candidate's literals never change during a sweep). Verdicts
-  /// stay bit-identical; `--no-vm-opt` disables it for A/B runs. Ignored
-  /// when UseVm is false.
+  /// stay bit-identical with the raw stream; VmOptimizerTest turns this off
+  /// to check that across the registry.
   bool UseVmOpt = true;
 
   /// Skip the reference interpreter's per-access bounds checks. Only set

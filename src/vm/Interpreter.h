@@ -14,8 +14,8 @@
 ///
 /// The public surface mirrors taco::EinsumEvaluator bit-for-bit — bind order,
 /// error strings, accumulation order, and comparison verdicts are identical —
-/// so the validator and verifier can switch between the two behind one seam
-/// (`--no-vm`). Statement lists run through run(), which replicates
+/// so the tree-walk stays the reference semantics the tests compare the VM
+/// against. Statement lists run through run(), which replicates
 /// taco::evalEinsumSequence (shape inference, per-statement binding, store
 /// forwarding of earlier results) without re-compiling anything per call.
 ///
@@ -124,8 +124,9 @@ public:
   }
 
   /// Evaluates cell by cell against \p Want, stopping at the first cell for
-  /// which \p CellOk(got, want) is false. Verdict-identical to
-  /// EinsumEvaluator::compare. Requires bind().
+  /// which \p CellOk(got, want) is false. Verdict-identical to evaluate()
+  /// followed by a full comparison: binding errors are all raised in
+  /// bind(), and cells are compared independently. Requires bind().
   template <typename CellOkFn>
   taco::EinsumCompare compare(const std::vector<T> &Want, CellOkFn &&CellOk) {
     StmtState &St = States[0];

@@ -466,6 +466,14 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_EQ(api::ConfigPatch::fromJson(
                 parseJson("{\"search_threads\":4}").Value, Bad),
             "unknown config key \"search_threads\"");
+  // Validation and verification each run one engine; the old engine
+  // switches are unknown keys too.
+  EXPECT_EQ(api::ConfigPatch::fromJson(parseJson("{\"use_vm\":false}").Value,
+                                       Bad),
+            "unknown config key \"use_vm\"");
+  EXPECT_EQ(api::ConfigPatch::fromJson(
+                parseJson("{\"use_vm_opt\":false}").Value, Bad),
+            "unknown config key \"use_vm_opt\"");
 }
 
 TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
@@ -475,7 +483,7 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   core::StaggConfig Base;
   std::string Baseline = core::configFingerprint(Base);
 
-  std::vector<api::ConfigPatch> Patches(15);
+  std::vector<api::ConfigPatch> Patches(13);
   Patches[0].Kind = core::SearchKind::BottomUp;
   Patches[1].NumCandidates = 11;
   Patches[2].NumIoExamples = 4;
@@ -488,9 +496,7 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   Patches[9].VerifyMaxSize = 3;
   Patches[10].FullGrammar = true;
   Patches[11].EqualProbability = true;
-  Patches[12].UseVm = false;
-  Patches[13].UseVmOpt = false;
-  Patches[14].ExecuteThreads = 4;
+  Patches[12].ExecuteThreads = 4;
 
   for (size_t I = 0; I < Patches.size(); ++I)
     EXPECT_NE(core::configFingerprint(Patches[I].apply(Base)), Baseline)
@@ -646,6 +652,38 @@ TEST(Endpoint, AdmissionErrorsResolveImmediately) {
 
   api::LiftRequest Neither;
   EXPECT_EQ(Endpoint.lift(Neither).St, api::Status::BadRequest);
+}
+
+TEST(Endpoint, OutOfRangeLiteralsAreLocatedErrors) {
+  // A numeric literal that does not fit int64 is a located parse error of
+  // the right status, not an exception that takes the process down.
+  api::Endpoint Endpoint(miniService(1));
+
+  api::LiftRequest Kernel;
+  Kernel.KernelSource =
+      "void kernel(int N, float* x, float* out) {\n"
+      "  for (int i = 0; i < N; i++) out[i] = x[i] * 18446744073709551616.0;\n"
+      "}";
+  api::LiftResponse Response = Endpoint.lift(Kernel);
+  EXPECT_EQ(Response.St, api::Status::KernelParseError);
+  EXPECT_NE(Response.Error.find("(line 2)"), std::string::npos)
+      << Response.Error;
+
+  api::LiftRequest Hint;
+  Hint.KernelSource = InlineKernel;
+  Hint.OracleHint = "out(i) = a(i) * 99999999999999999999";
+  Response = Endpoint.lift(Hint);
+  EXPECT_EQ(Response.St, api::Status::IngestError);
+  EXPECT_NE(Response.Error.find("oracle_hint is not a TACO program"),
+            std::string::npos)
+      << Response.Error;
+  EXPECT_NE(Response.Error.find("at offset 16"), std::string::npos)
+      << Response.Error;
+
+  // The endpoint keeps serving.
+  api::LiftRequest Plain;
+  Plain.KernelSource = InlineKernel;
+  EXPECT_TRUE(Endpoint.lift(Plain).ok());
 }
 
 TEST(Endpoint, SubmittedKernelOutlivesItsSourceBuffer) {

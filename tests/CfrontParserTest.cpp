@@ -88,6 +88,30 @@ TEST(CfrontParser, RejectsBadParamList) {
   EXPECT_FALSE(parseCFunction("void f(int) { }").ok());
 }
 
+TEST(CfrontParser, RejectsOutOfRangeLiteralsAtTheirLine) {
+  // Literals that do not fit int64 (an integer, a float mantissa, or a
+  // 10^scale denominator) are parse errors located at their line, not
+  // exceptions out of the lexer.
+  for (const char *Literal :
+       {"99999999999999999999", "18446744073709551616.0",
+        "0.0000000000000000001"}) {
+    CParseResult R = parseCFunction(
+        std::string("void f(int N, float* x, float* out) {\n"
+                    "  for (int i = 0; i < N; i++)\n"
+                    "    out[i] = x[i] * ") +
+        Literal + ";\n}");
+    EXPECT_FALSE(R.ok()) << Literal;
+    EXPECT_NE(R.Error.find("(line 3)"), std::string::npos)
+        << Literal << ": " << R.Error;
+  }
+  // The largest representable forms still parse.
+  EXPECT_TRUE(parseCFunction("int f(int N) { return N * 9223372036854775807; }")
+                  .ok());
+  EXPECT_TRUE(
+      parseCFunction("float f(float x) { return x * 0.000000000000000001; }")
+          .ok());
+}
+
 TEST(CfrontParser, EveryBenchmarkPrecedenceShape) {
   // a + b * c parses as a + (b * c).
   CParseResult R = parseCFunction(

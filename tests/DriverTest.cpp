@@ -197,8 +197,18 @@ TEST(DriverCli, VmOptimizerAndExecuteKnobs) {
   EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 1);
   EXPECT_EQ(P.Options.BenchRepeat, 1);
 
-  EXPECT_FALSE(parse({"--no-vm-opt"}).Options.Config.UseVmOpt);
-  EXPECT_FALSE(parse({"--no-vm-opt=1"}).ok()); // boolean, takes no value
+  // No command but `stagg disasm` picks a VM stream, so --no-vm-opt is
+  // disasm-only (see DisasmSubcommand); the tree-walk switch is gone.
+  P = parse({"--no-vm-opt"});
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.Error.find("stagg disasm"), std::string::npos) << P.Error;
+  EXPECT_FALSE(parse({"serve", "--no-vm-opt"}).ok());
+  EXPECT_FALSE(parse({"check", "--no-vm-opt"}).ok());
+  EXPECT_FALSE(parse({"bench", "--no-vm-opt"}).ok());
+  P = parse({"--no-vm"});
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.Error.find("unknown flag '--no-vm'"), std::string::npos)
+      << P.Error;
 
   P = parse({"serve", "--execute-threads", "4"});
   ASSERT_TRUE(P.ok()) << P.Error;
@@ -238,6 +248,7 @@ TEST(DriverCli, DisasmSubcommand) {
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_EQ(P.Options.Suite, "blas");
   EXPECT_FALSE(P.Options.Config.UseVmOpt);
+  EXPECT_FALSE(parse({"disasm", "--no-vm-opt=1"}).ok()); // takes no value
   // ...batch-table output flags do not.
   EXPECT_FALSE(parse({"disasm", "--csv", "/tmp/out.csv"}).ok());
 }

@@ -28,6 +28,14 @@ TEST(TacoLexer, FractionalLiteralIsInvalid) {
   EXPECT_EQ(Tokens.front().Kind, TokKind::Invalid);
 }
 
+TEST(TacoLexer, OutOfRangeIntegerIsInvalid) {
+  std::vector<Token> Tokens = lexTaco("99999999999999999999");
+  EXPECT_EQ(Tokens.front().Kind, TokKind::Invalid);
+  Tokens = lexTaco("9223372036854775807");
+  ASSERT_EQ(Tokens.front().Kind, TokKind::Integer);
+  EXPECT_EQ(Tokens.front().IntValue, 9223372036854775807);
+}
+
 TEST(TacoParser, ParsesSimpleAssignment) {
   ParseResult R = parseTacoProgram("out(i) = x(i) + y(i)");
   ASSERT_TRUE(R.ok()) << R.Error;
@@ -104,6 +112,12 @@ TEST(TacoParser, ParsesIntegerConstants) {
   ParseResult R = parseTacoProgram("a(i) = 2 * b(i) + 1");
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(printProgram(*R.Prog), "a(i) = 2 * b(i) + 1");
+}
+
+TEST(TacoParser, RejectsOutOfRangeConstantAtItsOffset) {
+  ParseResult R = parseTacoProgram("out(i) = x(i) * 99999999999999999999");
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("at offset 16"), std::string::npos) << R.Error;
 }
 
 TEST(TacoParser, ExprEntryPoint) {

@@ -133,3 +133,21 @@ TEST(Verifier, StatementListsExecuteAsOneProgram) {
       << "statement-list witnesses print the whole list: "
       << W.Counterexample;
 }
+
+TEST(Verifier, ProgramWithoutRhsReportsTheCompilerDiagnostic) {
+  // A candidate that does not lower to bytecode fails its first test with
+  // the structure compiler's message, single or as a statement list.
+  Fixture F("blas_gemv_ptr");
+  taco::Program NoRhs(taco::AccessExpr("Result", {"i"}), nullptr);
+  VerifyResult R = verifyEquivalence(*F.B, *F.Fn, NoRhs);
+  EXPECT_FALSE(R.Equivalent);
+  EXPECT_EQ(R.TestsRun, 1);
+  EXPECT_EQ(R.Counterexample,
+            "candidate failed to evaluate: program has no RHS");
+
+  std::vector<taco::Program> Seq;
+  Seq.push_back(NoRhs);
+  VerifyResult S = verifyEquivalence(*F.B, *F.Fn, Seq);
+  EXPECT_EQ(S.TestsRun, 1);
+  EXPECT_EQ(S.Counterexample, R.Counterexample);
+}

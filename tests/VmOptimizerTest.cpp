@@ -4,9 +4,10 @@
 //
 // Per-pass unit tests for the VM optimizer (hoisting, dead-register
 // elimination, constant dedup, span fusion) on small and hand-edited
-// streams, the registry-wide opt-vs-noopt bit-identity sweep (the
-// `--no-vm-opt` contract), the verifier-verdict sweep with the optimizer
-// on and off, and the vm::disassemble renderings `stagg disasm` prints.
+// streams, the registry-wide opt-vs-noopt bit-identity sweep, the
+// verifier-verdict sweep with the optimizer on and off
+// (VerifyOptions::UseVmOpt), and the vm::disassemble renderings
+// `stagg disasm` prints (raw with `--no-vm-opt`).
 //
 //===----------------------------------------------------------------------===//
 
@@ -358,7 +359,7 @@ TEST(VmOptimizerTest, DisassembleShowsSpansAndRawLoops) {
 }
 
 //===----------------------------------------------------------------------===
-// Registry-wide opt-vs-noopt bit identity (the --no-vm-opt contract).
+// Registry-wide opt-vs-noopt bit identity.
 //===----------------------------------------------------------------------===
 
 TEST(VmOptimizerTest, RegistrySweepOptVsNoOptBitIdentity) {
