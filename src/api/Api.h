@@ -43,9 +43,10 @@ namespace api {
 /// Per-request configuration overrides. Every field is optional; set fields
 /// replace the corresponding service-wide value for one request (patch
 /// precedence is total — a set field always wins), unset fields inherit.
-/// Serving-layer knobs (queue depth, batching, cache shape) are fixed per
-/// service and deliberately not patchable — except "execute_threads", which
-/// tiles one request's execute pass and is bit-identical at any value.
+/// Serving-layer knobs (queue depth, cache capacity) are fixed per service
+/// and deliberately not patchable — except "execute_threads", which tiles
+/// one request's execute pass, is bit-identical at any value, and so stays
+/// out of the lift cache key.
 struct ConfigPatch {
   std::optional<core::SearchKind> Kind;        ///< "search": "td" | "bu"
   std::optional<int> NumCandidates;            ///< "candidates"

@@ -4,6 +4,8 @@
 
 #include "cfront/Lexer.h"
 
+#include <cctype>
+
 using namespace stagg;
 using namespace stagg::cfront;
 
@@ -38,10 +40,22 @@ public:
     return true;
   }
 
+  /// Records the first error, located at the current token's line. An
+  /// Invalid token is the culprit itself (nothing can consume it), so the
+  /// error names it instead of what was expected there: a literal that
+  /// starts with a digit lexes as Invalid only when it overflows int64.
   void fail(const std::string &Message) {
-    if (ErrorMessage.empty())
-      ErrorMessage =
-          Message + " (line " + std::to_string(peek().Line) + ")";
+    if (!ErrorMessage.empty())
+      return;
+    const CToken &Tok = peek();
+    if (Tok.Kind != CTokKind::Invalid)
+      ErrorMessage = Message;
+    else if (std::isdigit(static_cast<unsigned char>(Tok.Spelling[0])))
+      ErrorMessage = "numeric literal '" + Tok.Spelling +
+                     "' does not fit in 64 bits";
+    else
+      ErrorMessage = "unexpected character '" + Tok.Spelling + "'";
+    ErrorMessage += " (line " + std::to_string(Tok.Line) + ")";
   }
   bool hadError() const { return !ErrorMessage.empty(); }
   const std::string &error() const { return ErrorMessage; }

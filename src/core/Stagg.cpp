@@ -185,11 +185,9 @@ std::string core::describeResult(const std::string &Name,
 
 std::string core::configFingerprint(const StaggConfig &Config) {
   // Every field read anywhere in liftBenchmark (or below it) appears here;
-  // the serving knobs in Config.Serve deliberately do not — queue depth,
-  // batching, and cache shape never change a result — with one exception:
-  // Serve.ExecuteThreads is patchable from the wire and fingerprinted
-  // below. Adding a pipeline knob
-  // without extending this list is a cache-correctness bug, which
+  // the serving knobs in Config.Serve deliberately do not — liftBenchmark
+  // never reads them, so no lift result depends on them. Adding a pipeline
+  // knob without extending this list is a cache-correctness bug, which
   // ApiTest.FingerprintCoversResultAffectingKnobs guards against for the
   // knobs reachable from the wire protocol.
   std::string F = "v1";
@@ -217,11 +215,6 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(S.TimeoutSeconds));
   Add(std::to_string(S.MaxExpansions));
   Add(std::to_string(S.MaxAttempts));
-  // The one Serve knob that IS fingerprinted: execute-path tiling is
-  // patchable per request ("execute_threads"), and a cached result should
-  // record how it was produced even though tiles are bit-identical to the
-  // serial pass.
-  Add("x" + std::to_string(Config.Serve.ExecuteThreads));
   const verify::VerifyOptions &V = Config.Verify;
   Add(std::to_string(V.MaxSize));
   Add(std::to_string(V.RandomTrials));

@@ -46,19 +46,8 @@ struct ServeOptions {
   /// are in flight (backpressure toward the client).
   int QueueDepth = 64;
 
-  /// Oracle batching: up to this many concurrent oracle queries are
-  /// coalesced into one propose round. 1 disables batching.
-  int BatchSize = 1;
-
-  /// How long a propose round waits for the batch to fill before flushing
-  /// a partial one.
-  int BatchWaitMicros = 200;
-
-  /// Result-cache entries across all shards; 0 disables caching.
+  /// Result-cache entries; 0 disables caching.
   size_t CacheCapacity = 1024;
-
-  /// Number of independently locked cache shards (rounded up to one).
-  int CacheShards = 8;
 
   /// Socket transport: "<addr>:<port>" to listen on (port 0 picks a free
   /// one); empty keeps `stagg serve` on stdin.
@@ -123,7 +112,7 @@ struct StaggConfig {
   /// the optimized stream and the validator the raw one.
   bool UseVmOpt = true;
 
-  /// Serving-layer knobs (queue depth, batching, result cache).
+  /// Serving-layer knobs (queue depth, result cache, transport, execute).
   ServeOptions Serve;
 };
 

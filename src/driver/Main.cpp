@@ -85,8 +85,7 @@ int main(int argc, char **argv) {
   }
 
   if (Options.ShowCacheStats)
-    driver::printServeStats(std::cerr, Report.Cache, Report.Batching,
-                            Options.Config.Serve.BatchSize);
+    driver::printServeStats(std::cerr, Report.Cache);
 
   if (!Options.CsvPath.empty() &&
       !driver::writeCsv(Options.CsvPath, Report)) {

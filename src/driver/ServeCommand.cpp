@@ -156,8 +156,7 @@ int runServeListen(const CliOptions &Options) {
   }
   if (Options.ShowCacheStats) {
     api::Endpoint::VmCacheStats Vm = Lifter.vmCacheStats();
-    printServeStats(std::cerr, Lifter.cacheStats(), Lifter.batchingStats(),
-                    Options.Config.Serve.BatchSize, &Vm);
+    printServeStats(std::cerr, Lifter.cacheStats(), &Vm);
   }
   return Rc == 0 ? ServeExitOk : 2;
 }
@@ -176,14 +175,8 @@ void flushReady(std::deque<InFlight> &Window, std::ostream &Out,
 
 void driver::printServeStats(std::ostream &Err,
                              const serve::CacheStats &Cache,
-                             const serve::BatchingStats &Batching,
-                             int BatchSize,
                              const api::Endpoint::VmCacheStats *Vm) {
   Err << serve::formatCacheStats(Cache) << "\n";
-  if (BatchSize > 1)
-    Err << "batching: " << Batching.ProposeCalls << " oracle calls in "
-        << Batching.Rounds << " rounds (max batch " << Batching.MaxBatch
-        << ")\n";
   if (Vm)
     Err << "vm cache: " << Vm->Hits << " hits, " << Vm->Misses
         << " misses, " << Vm->Evictions << " evictions, " << Vm->Entries
@@ -200,8 +193,7 @@ int driver::runServeLoop(const CliOptions &Options, std::istream &In,
 
   if (Options.Verbose)
     Err << "stagg serve: " << Lifter.threads() << " workers, queue depth "
-        << Lifter.queueDepth() << ", batch "
-        << Options.Config.Serve.BatchSize << ", cache "
+        << Lifter.queueDepth() << ", cache "
         << Options.Config.Serve.CacheCapacity
         << " entries, protocol v1 + legacy names\n";
 
@@ -245,8 +237,7 @@ int driver::runServeLoop(const CliOptions &Options, std::istream &In,
 
   if (Options.ShowCacheStats) {
     api::Endpoint::VmCacheStats Vm = Lifter.vmCacheStats();
-    printServeStats(Err, Lifter.cacheStats(), Lifter.batchingStats(),
-                    Options.Config.Serve.BatchSize, &Vm);
+    printServeStats(Err, Lifter.cacheStats(), &Vm);
   }
   return Tracker.exitCode();
 }

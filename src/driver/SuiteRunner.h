@@ -8,9 +8,9 @@
 /// Batch-mode client of the lift API: submits a benchmark selection through
 /// api::Endpoint and renders the responses as a results table (human table,
 /// CSV or TSV). Batch runs and `stagg serve` sessions execute the identical
-/// api path — every worker's oracle is seeded identically, so worker count,
-/// batching, and caching never change the per-benchmark results, only the
-/// wall clock.
+/// api path — every worker's oracle is seeded identically, so worker count
+/// and caching never change the per-benchmark results, only the wall
+/// clock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,6 @@ struct SuiteReport {
 
   /// Serving-layer counters for --cache-stats.
   serve::CacheStats Cache;
-  serve::BatchingStats Batching;
 
   int solvedCount() const;
   double solvedPercent() const;

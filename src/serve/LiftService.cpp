@@ -26,14 +26,7 @@ LiftService::LiftService(ServiceConfig Config, OracleFactory Factory)
       Factory(Factory ? std::move(Factory) : defaultFactory()),
       Queue(this->Config.Config.Serve.QueueDepth),
       Cache(this->Config.Config.Serve.CacheCapacity,
-            this->Config.Config.Serve.CacheShards,
             this->Config.Config.Serve.CachePath) {
-  const core::ServeOptions &Serve = this->Config.Config.Serve;
-  if (Serve.BatchSize > 1) {
-    SharedInner = this->Factory(this->Config.OracleSeed);
-    Batcher = std::make_unique<BatchingOracle>(*SharedInner, Serve.BatchSize,
-                                               Serve.BatchWaitMicros);
-  }
   int Threads = resolveThreads(this->Config.Threads);
   Pool.reserve(static_cast<size_t>(Threads));
   for (int T = 0; T < Threads; ++T)
@@ -101,19 +94,11 @@ LiftResponse LiftService::lift(const bench::Benchmark &B) {
 }
 
 void LiftService::workerLoop() {
-  // The worker's oracle persists across every request it serves; only the
-  // non-batching path needs one (batched workers share the decorator).
-  std::unique_ptr<llm::CandidateOracle> Private;
-  if (!Batcher)
-    Private = Factory(Config.OracleSeed);
-  llm::CandidateOracle &Oracle = Batcher
-                                     ? static_cast<llm::CandidateOracle &>(
-                                           *Batcher)
-                                     : *Private;
-
+  // The worker's private oracle persists across every request it serves.
+  std::unique_ptr<llm::CandidateOracle> Oracle = Factory(Config.OracleSeed);
   LiftRequest Request;
   while (Queue.pop(Request))
-    execute(Request, Oracle);
+    execute(Request, *Oracle);
 }
 
 void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
@@ -156,8 +141,4 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
   Request.Reply.set_value(std::move(Response));
   if (Request.Hooks.OnSettled)
     Request.Hooks.OnSettled();
-}
-
-BatchingStats LiftService::batchingStats() const {
-  return Batcher ? Batcher->stats() : BatchingStats();
 }

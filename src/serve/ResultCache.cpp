@@ -1,4 +1,4 @@
-//===- serve/ResultCache.cpp - Sharded kernel-text result cache -----------===//
+//===- serve/ResultCache.cpp - Kernel-text result cache -------------------===//
 
 #include "serve/ResultCache.h"
 
@@ -6,10 +6,8 @@
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <iomanip>
 #include <sstream>
 
@@ -17,25 +15,8 @@ using namespace stagg;
 using namespace stagg::serve;
 using support::Json;
 
-ResultCache::ResultCache(size_t Capacity, int Shards,
-                         std::string JournalPath)
-    : TotalCapacity(Capacity), JournalPath(std::move(JournalPath)) {
-  int Count = std::max(Shards, 1);
-  // More shards than entries would leave zero-capacity shards.
-  if (Capacity > 0)
-    Count = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(Count), Capacity));
-  ShardStore.reserve(static_cast<size_t>(Count));
-  for (int I = 0; I < Count; ++I) {
-    auto S = std::make_unique<Shard>();
-    // Distribute capacity as evenly as possible; earlier shards take the
-    // remainder so the total always matches.
-    S->Capacity = Capacity / static_cast<size_t>(Count) +
-                  (static_cast<size_t>(I) < Capacity % static_cast<size_t>(Count)
-                       ? 1
-                       : 0);
-    ShardStore.push_back(std::move(S));
-  }
+ResultCache::ResultCache(size_t Capacity, std::string JournalPath)
+    : Capacity(Capacity), JournalPath(std::move(JournalPath)) {
   if (!this->JournalPath.empty() && Capacity > 0) {
     loadJournal();
     Journal.open(this->JournalPath, std::ios::app);
@@ -46,75 +27,61 @@ std::string ResultCache::keyFor(const std::string &KernelSource) {
   return normalizeKernelText(KernelSource);
 }
 
-ResultCache::Shard &ResultCache::shardFor(const std::string &Key) {
-  size_t Hash = std::hash<std::string>{}(Key);
-  return *ShardStore[Hash % ShardStore.size()];
-}
-
 bool ResultCache::lookup(const std::string &Key, core::LiftResult &Out) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(Key);
-  if (It == S.Index.end()) {
-    ++S.Misses;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(Key);
+  if (It == Index.end()) {
+    ++Misses;
     return false;
   }
-  ++S.Hits;
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+  ++Hits;
+  Lru.splice(Lru.begin(), Lru, It->second);
   Out = It->second->Result;
   return true;
 }
 
 void ResultCache::insert(const std::string &Key,
                          const core::LiftResult &Result) {
-  Shard &S = shardFor(Key);
-  bool Fresh = false;
+  if (Capacity == 0)
+    return;
   {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    if (S.Capacity == 0)
-      return;
-    auto It = S.Index.find(Key);
-    if (It != S.Index.end()) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto It = Index.find(Key);
+    if (It != Index.end()) {
       // A refresh carries the same deterministic result; nothing new for
       // the journal.
       It->second->Result = Result;
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+      Lru.splice(Lru.begin(), Lru, It->second);
       return;
     }
-    if (S.Lru.size() >= S.Capacity) {
-      S.Index.erase(S.Lru.back().Key);
-      S.Lru.pop_back();
-      ++S.Evictions;
+    if (Lru.size() >= Capacity) {
+      Index.erase(Lru.back().Key);
+      Lru.pop_back();
+      ++Evictions;
     }
-    S.Lru.push_front(Entry{Key, Result});
-    S.Index[Key] = S.Lru.begin();
-    ++S.Insertions;
-    Fresh = true;
+    Lru.push_front(Entry{Key, Result});
+    Index[Key] = Lru.begin();
+    ++Insertions;
   }
-  // Write-through happens outside the shard lock: compaction takes every
-  // shard lock under the journal mutex, so the reverse nesting would
-  // deadlock.
-  if (Fresh)
-    journalInsert(Key, Result);
+  // Write-through happens after the LRU lock is released: journalInsert
+  // takes the journal mutex and then the LRU lock, never the reverse.
+  journalInsert(Key, Result);
 }
 
 CacheStats ResultCache::stats() const {
   CacheStats Stats;
-  Stats.Capacity = TotalCapacity;
-  Stats.Shards = static_cast<int>(ShardStore.size());
-  for (const std::unique_ptr<Shard> &S : ShardStore) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Stats.Hits += S->Hits;
-    Stats.Misses += S->Misses;
-    Stats.Evictions += S->Evictions;
-    Stats.Insertions += S->Insertions;
-    Stats.Entries += S->Lru.size();
-  }
+  Stats.Capacity = Capacity;
   {
-    std::lock_guard<std::mutex> Lock(JournalMutex);
-    Stats.Loaded = LoadedCount;
-    Stats.Compactions = CompactionCount;
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Stats.Hits = Hits;
+    Stats.Misses = Misses;
+    Stats.Evictions = Evictions;
+    Stats.Insertions = Insertions;
+    Stats.Entries = Lru.size();
   }
+  std::lock_guard<std::mutex> Lock(JournalMutex);
+  Stats.Loaded = LoadedCount;
+  Stats.Compactions = CompactionCount;
   return Stats;
 }
 
@@ -287,9 +254,8 @@ void ResultCache::loadJournal() {
   LoadedCount = Valid;
   JournalRecords = Valid;
   // Replayed entries are history, not runtime insertions; the ctor is
-  // single-threaded, so resetting the counters here is safe.
-  for (std::unique_ptr<Shard> &S : ShardStore)
-    S->Insertions = 0;
+  // single-threaded, so resetting the counter here is safe.
+  Insertions = 0;
 }
 
 void ResultCache::journalInsert(const std::string &Key,
@@ -302,10 +268,10 @@ void ResultCache::journalInsert(const std::string &Key,
 
   // Compact once dead history (evicted or superseded records) dominates:
   // the journal holds more than twice the live set.
-  size_t Live = 0;
-  for (const std::unique_ptr<Shard> &S : ShardStore) {
-    std::lock_guard<std::mutex> ShardLock(S->Mutex);
-    Live += S->Lru.size();
+  size_t Live;
+  {
+    std::lock_guard<std::mutex> LruLock(Mutex);
+    Live = Lru.size();
   }
   if (JournalRecords >= 64 && JournalRecords > 2 * Live)
     compactLocked();
@@ -318,10 +284,12 @@ void ResultCache::compactLocked() {
     return; // keep appending to the old journal; correctness is unharmed
 
   uint64_t Written = 0;
-  for (const std::unique_ptr<Shard> &S : ShardStore) {
-    std::lock_guard<std::mutex> ShardLock(S->Mutex);
-    for (const Entry &E : S->Lru) {
-      Tmp << journalRecord(E.Key, E.Result) << "\n";
+  {
+    // Oldest first, so a replay of the compacted journal rebuilds the same
+    // recency order.
+    std::lock_guard<std::mutex> LruLock(Mutex);
+    for (auto It = Lru.rbegin(); It != Lru.rend(); ++It) {
+      Tmp << journalRecord(It->Key, It->Result) << "\n";
       ++Written;
     }
   }
@@ -348,7 +316,7 @@ std::string serve::formatCacheStats(const CacheStats &Stats) {
   std::ostringstream Os;
   Os << "cache: hits " << Stats.Hits << "  misses " << Stats.Misses
      << "  evictions " << Stats.Evictions << "  entries " << Stats.Entries
-     << "/" << Stats.Capacity << "  shards " << Stats.Shards << "  hit-rate "
+     << "/" << Stats.Capacity << "  hit-rate "
      << std::fixed << std::setprecision(1) << 100.0 * Stats.hitRate() << "%";
   if (Stats.Loaded || Stats.Compactions)
     Os << "  loaded " << Stats.Loaded << "  compactions "

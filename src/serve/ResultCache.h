@@ -1,4 +1,4 @@
-//===- serve/ResultCache.h - Sharded kernel-text result cache ---*- C++ -*-===//
+//===- serve/ResultCache.h - Kernel-text result cache -----------*- C++ -*-===//
 //
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
@@ -9,9 +9,11 @@
 /// text always lifts to the identical result (the whole pipeline is
 /// deterministic in the oracle seed). So the serving layer memoizes: results
 /// are cached under the *normalized* kernel text (comments and whitespace
-/// stripped — see support normalizeKernelText), LRU-evicted per shard, with
-/// the shard picked by key hash so concurrent workers rarely contend on one
-/// mutex. Hit/miss/eviction counters feed `stagg --cache-stats`.
+/// stripped — see support normalizeKernelText) in one LRU list under one
+/// mutex. A lookup holds that lock for well under a microsecond, far below
+/// the cost of the lifts and round trips around it, so the workers of a
+/// serving session do not queue on it. Hit/miss/eviction counters feed
+/// `stagg --cache-stats`.
 ///
 /// Optional persistence: given a journal path, every first insertion is
 /// written through to an append-only file of JSON-lines records, loaded
@@ -20,7 +22,9 @@
 /// journal from that point (torn final writes and corruption recover to
 /// the longest valid prefix instead of crashing), and the journal is
 /// compacted — live entries rewritten, dead history dropped — once it
-/// grows past twice the live set.
+/// grows past twice the live set. Journal I/O runs under its own mutex,
+/// never under the LRU lock, so lookups do not wait on the disk; the lock
+/// order is journal mutex first, LRU mutex second.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,16 +37,14 @@
 #include <cstdint>
 #include <fstream>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace stagg {
 namespace serve {
 
-/// Aggregated counters across all shards.
+/// Cache counters.
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -50,7 +52,6 @@ struct CacheStats {
   uint64_t Insertions = 0;
   size_t Entries = 0;
   size_t Capacity = 0;
-  int Shards = 0;
 
   /// Persistence counters (zero for in-memory caches): entries loaded from
   /// the journal at construction, and journal compactions since.
@@ -63,14 +64,14 @@ struct CacheStats {
   }
 };
 
-/// Sharded LRU map from normalized kernel text to lift results.
+/// LRU map from normalized kernel text to lift results.
 class ResultCache {
 public:
-  /// \p Capacity total entries split across \p Shards locks. Capacity 0
-  /// disables the cache (lookups miss, inserts drop). A non-empty
-  /// \p JournalPath makes the cache persistent: existing records load now
-  /// (corrupt tails truncate), new insertions write through.
-  ResultCache(size_t Capacity, int Shards, std::string JournalPath = "");
+  /// Holds at most \p Capacity entries. Capacity 0 disables the cache
+  /// (lookups miss, inserts drop). A non-empty \p JournalPath makes the
+  /// cache persistent: existing records load now (corrupt tails truncate),
+  /// new insertions write through.
+  explicit ResultCache(size_t Capacity, std::string JournalPath = "");
 
   /// Canonical key of a kernel source (normalizeKernelText).
   static std::string keyFor(const std::string &KernelSource);
@@ -79,14 +80,11 @@ public:
   /// refreshes recency, and returns true.
   bool lookup(const std::string &Key, core::LiftResult &Out);
 
-  /// Inserts (or refreshes) \p Key. Evicts the least-recently-used entry of
-  /// the shard when it is full.
+  /// Inserts (or refreshes) \p Key. Evicts the least-recently-used entry
+  /// when the cache is full.
   void insert(const std::string &Key, const core::LiftResult &Result);
 
   CacheStats stats() const;
-
-  size_t capacity() const { return TotalCapacity; }
-  int shardCount() const { return static_cast<int>(ShardStore.size()); }
 
 private:
   struct Entry {
@@ -94,36 +92,30 @@ private:
     core::LiftResult Result;
   };
 
-  /// One independently locked LRU segment: list front = most recent.
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::list<Entry> Lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> Index;
-    size_t Capacity = 0;
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Evictions = 0;
-    uint64_t Insertions = 0;
-  };
-
-  Shard &shardFor(const std::string &Key);
-
-  /// Replays the journal into the shards; truncates at the first record
+  /// Replays the journal into the cache; truncates at the first record
   /// that fails to parse.
   void loadJournal();
 
   /// One write-through record, plus compaction when the journal's record
-  /// count has outgrown the live set. Caller holds no shard lock.
+  /// count has outgrown the live set. Caller holds no lock.
   void journalInsert(const std::string &Key, const core::LiftResult &Result);
 
   /// Rewrites the journal to exactly the live entries (tmp file + rename).
   void compactLocked();
 
-  size_t TotalCapacity;
-  std::vector<std::unique_ptr<Shard>> ShardStore;
+  const size_t Capacity;
 
-  /// Persistence state, all guarded by JournalMutex (shard locks are never
-  /// held while it is taken).
+  /// The LRU state, guarded by Mutex: list front = most recent.
+  mutable std::mutex Mutex;
+  std::list<Entry> Lru;
+  std::unordered_map<std::string, std::list<Entry>::iterator> Index;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  uint64_t Evictions = 0;
+  uint64_t Insertions = 0;
+
+  /// Persistence state, all guarded by JournalMutex. Whoever holds both
+  /// takes JournalMutex first.
   std::string JournalPath;
   std::ofstream Journal;
   mutable std::mutex JournalMutex;

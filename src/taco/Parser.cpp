@@ -4,10 +4,22 @@
 
 #include "taco/Lexer.h"
 
+#include <algorithm>
+#include <cctype>
+
 using namespace stagg;
 using namespace stagg::taco;
 
 namespace {
+
+/// True for a non-empty run of decimal digits: the lexer's spelling of an
+/// integer literal (one that lexed as Invalid overflowed int64).
+bool isDigits(const std::string &Spelling) {
+  return !Spelling.empty() &&
+         std::all_of(Spelling.begin(), Spelling.end(), [](unsigned char C) {
+           return std::isdigit(C) != 0;
+         });
+}
 
 /// Token-stream cursor with error accumulation.
 class ParserImpl {
@@ -27,9 +39,21 @@ public:
     return true;
   }
 
+  /// Records the first error, located at the current token. An Invalid
+  /// token is the culprit itself (nothing can consume it), so the error
+  /// names it instead of what was expected there.
   void fail(const std::string &Message) {
-    if (ErrorMessage.empty())
-      ErrorMessage = Message + " at offset " + std::to_string(peek().Offset);
+    if (!ErrorMessage.empty())
+      return;
+    const Token &Tok = peek();
+    if (Tok.Kind != TokKind::Invalid)
+      ErrorMessage = Message;
+    else if (isDigits(Tok.Spelling))
+      ErrorMessage = "numeric literal '" + Tok.Spelling +
+                     "' does not fit in 64 bits";
+    else
+      ErrorMessage = "invalid token '" + Tok.Spelling + "'";
+    ErrorMessage += " at offset " + std::to_string(Tok.Offset);
   }
 
   bool hadError() const { return !ErrorMessage.empty(); }

@@ -101,8 +101,8 @@ TEST(CfrontParser, RejectsOutOfRangeLiteralsAtTheirLine) {
                     "    out[i] = x[i] * ") +
         Literal + ";\n}");
     EXPECT_FALSE(R.ok()) << Literal;
-    EXPECT_NE(R.Error.find("(line 3)"), std::string::npos)
-        << Literal << ": " << R.Error;
+    EXPECT_EQ(R.Error, std::string("numeric literal '") + Literal +
+                           "' does not fit in 64 bits (line 3)");
   }
   // The largest representable forms still parse.
   EXPECT_TRUE(parseCFunction("int f(int N) { return N * 9223372036854775807; }")
@@ -110,6 +110,24 @@ TEST(CfrontParser, RejectsOutOfRangeLiteralsAtTheirLine) {
   EXPECT_TRUE(
       parseCFunction("float f(float x) { return x * 0.000000000000000001; }")
           .ok());
+}
+
+TEST(CfrontParser, NamesTheInvalidTokenItStoppedAt) {
+  // An Invalid token is reported by its spelling at its line, not by what
+  // the parser expected in its place.
+  CParseResult R = parseCFunction("void f(int N, float* x, float* out) {\n"
+                                  "  for (int i = 0; i < N; i++)\n"
+                                  "    out[i] = x[i] @ 2;\n}");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "unexpected character '@' (line 3)");
+  R = parseCFunction("int f(int N) {\n  return N +\n 99999999999999999999; }");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "numeric literal '99999999999999999999' does not fit in "
+                     "64 bits (line 3)");
+  // A valid token keeps the expectation message.
+  R = parseCFunction("int f(int N) {\n  return N + ; }");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "expected expression (line 2)");
 }
 
 TEST(CfrontParser, EveryBenchmarkPrecedenceShape) {

@@ -137,17 +137,12 @@ TEST(DriverCli, SearchThreadsFlag) {
 }
 
 TEST(DriverCli, ServeModeAndServingKnobs) {
-  CliParse P = parse({"serve", "--queue-depth", "16", "--batch=4",
-                      "--batch-wait-us", "500", "--cache-capacity", "32",
-                      "--cache-shards=2", "--cache-stats", "--input",
-                      "/tmp/requests.txt"});
+  CliParse P = parse({"serve", "--queue-depth", "16", "--cache-capacity=32",
+                      "--cache-stats", "--input", "/tmp/requests.txt"});
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_EQ(P.Options.Mode, DriverMode::Serve);
   EXPECT_EQ(P.Options.Config.Serve.QueueDepth, 16);
-  EXPECT_EQ(P.Options.Config.Serve.BatchSize, 4);
-  EXPECT_EQ(P.Options.Config.Serve.BatchWaitMicros, 500);
   EXPECT_EQ(P.Options.Config.Serve.CacheCapacity, 32u);
-  EXPECT_EQ(P.Options.Config.Serve.CacheShards, 2);
   EXPECT_TRUE(P.Options.ShowCacheStats);
   EXPECT_EQ(P.Options.InputPath, "/tmp/requests.txt");
 
@@ -157,17 +152,21 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
   EXPECT_EQ(P.Options.Mode, DriverMode::Run);
   core::ServeOptions Reference;
   EXPECT_EQ(P.Options.Config.Serve.QueueDepth, Reference.QueueDepth);
-  EXPECT_EQ(P.Options.Config.Serve.BatchSize, Reference.BatchSize);
   EXPECT_EQ(P.Options.Config.Serve.CacheCapacity, Reference.CacheCapacity);
 
-  // Zero means "off" for the cache and the wait, but the structural knobs
-  // reject it.
+  // Zero means "off" for the cache, but the queue rejects it.
   EXPECT_TRUE(parse({"--cache-capacity", "0"}).ok());
-  EXPECT_TRUE(parse({"--batch-wait-us", "0"}).ok());
   EXPECT_FALSE(parse({"--queue-depth", "0"}).ok());
-  EXPECT_FALSE(parse({"--batch", "0"}).ok());
-  EXPECT_FALSE(parse({"--cache-shards", "0"}).ok());
   EXPECT_FALSE(parse({"--queue-depth", "-1"}).ok());
+
+  // Oracle batching and cache sharding are gone; their flags are unknown.
+  for (const char *Retired : {"--batch", "--batch-wait-us", "--cache-shards"}) {
+    P = parse({"serve", Retired, "2"});
+    ASSERT_FALSE(P.ok()) << Retired;
+    EXPECT_NE(P.Error.find("unknown flag '" + std::string(Retired) + "'"),
+              std::string::npos)
+        << P.Error;
+  }
 
   // --input without the serve subcommand would silently run the default
   // suite; reject it instead.

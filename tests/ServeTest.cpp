@@ -3,11 +3,9 @@
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
 // Pins down the serving layer's contracts: the bounded queue's blocking and
-// backpressure semantics, LRU eviction and counters in the sharded result
-// cache, round coalescing in the batching oracle, cache-hit determinism
-// (a second lift of identical kernel text never reaches the oracle),
-// batched-vs-unbatched bit-identity, and schedule independence under
-// concurrent clients.
+// backpressure semantics, LRU eviction and counters in the result cache,
+// cache-hit determinism (a second lift of identical kernel text never
+// reaches the oracle), and schedule independence under concurrent clients.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +22,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <list>
 #include <thread>
 
 using namespace stagg;
@@ -142,7 +141,7 @@ TEST(ResultCache, KeyNormalizesWhitespaceAndComments) {
 }
 
 TEST(ResultCache, HitMissAndCounters) {
-  ResultCache Cache(8, 2);
+  ResultCache Cache(8);
   core::LiftResult Out;
   EXPECT_FALSE(Cache.lookup("k1", Out));
   Cache.insert("k1", resultTagged(7));
@@ -161,38 +160,43 @@ TEST(ResultCache, HitMissAndCounters) {
   EXPECT_NE(Line.find("misses 1"), std::string::npos);
 }
 
-TEST(ResultCache, LruEvictionPerShard) {
-  // One shard makes the LRU order fully observable.
-  ResultCache Cache(2, 1);
-  Cache.insert("a", resultTagged(1));
-  Cache.insert("b", resultTagged(2));
-
+TEST(ResultCache, LruEvictionIsGlobal) {
+  // One LRU order over every key: whatever the keys hash to, a full cache
+  // evicts exactly the least-recently-used entry. A model list (front =
+  // most recent) predicts each eviction.
+  const size_t Capacity = 3;
+  ResultCache Cache(Capacity);
+  std::list<std::string> Model;
   core::LiftResult Out;
-  ASSERT_TRUE(Cache.lookup("a", Out)); // refreshes "a"; "b" is now LRU
-  Cache.insert("c", resultTagged(3));  // evicts "b"
+  for (int I = 0; I < 64; ++I) {
+    if (Model.size() == Capacity) {
+      // Refresh the oldest key; the second oldest becomes the LRU entry.
+      ASSERT_TRUE(Cache.lookup(Model.back(), Out)) << Model.back();
+      Model.splice(Model.begin(), Model, std::prev(Model.end()));
+    }
+    std::string Key = "key" + std::to_string(I);
+    Cache.insert(Key, resultTagged(I));
+    Model.push_front(Key);
+    if (Model.size() > Capacity) {
+      EXPECT_FALSE(Cache.lookup(Model.back(), Out)) << Model.back();
+      Model.pop_back();
+    }
+    EXPECT_LE(Cache.stats().Entries, Capacity);
+  }
 
-  EXPECT_TRUE(Cache.lookup("a", Out));
-  EXPECT_FALSE(Cache.lookup("b", Out));
-  EXPECT_TRUE(Cache.lookup("c", Out));
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.stats().Entries, 2u);
+  // Every survivor is still cached; probing oldest first keeps the order.
+  for (auto It = Model.rbegin(); It != Model.rend(); ++It)
+    EXPECT_TRUE(Cache.lookup(*It, Out)) << *It;
+  EXPECT_EQ(Cache.stats().Entries, Capacity);
+  EXPECT_EQ(Cache.stats().Evictions, 64u - Capacity);
 }
 
 TEST(ResultCache, ZeroCapacityDisables) {
-  ResultCache Cache(0, 4);
+  ResultCache Cache(0);
   Cache.insert("k", resultTagged(1));
   core::LiftResult Out;
   EXPECT_FALSE(Cache.lookup("k", Out));
   EXPECT_EQ(Cache.stats().Entries, 0u);
-}
-
-TEST(ResultCache, ShardsNeverExceedCapacity) {
-  // 5 entries over 4 shards: capacity splits 2/1/1/1.
-  ResultCache Cache(5, 4);
-  EXPECT_EQ(Cache.shardCount(), 4);
-  for (int I = 0; I < 64; ++I)
-    Cache.insert("key" + std::to_string(I), resultTagged(I));
-  EXPECT_LE(Cache.stats().Entries, 5u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -271,13 +275,13 @@ TEST(ResultCachePersist, LiftResultJsonRoundTrip) {
 TEST(ResultCachePersist, JournalWarmStartServesPreviousWorkload) {
   std::string Path = freshJournal("warm-start");
   {
-    ResultCache Cache(8, 2, Path);
+    ResultCache Cache(8, Path);
     EXPECT_EQ(Cache.stats().Loaded, 0u); // cold start: nothing persisted yet
     Cache.insert("solved-kernel", solvedResult(5));
     Cache.insert("failed-kernel", failedResult("no candidate"));
   } // destructor closes the journal
 
-  ResultCache Warm(8, 2, Path);
+  ResultCache Warm(8, Path);
   CacheStats Stats = Warm.stats();
   EXPECT_EQ(Stats.Loaded, 2u);
   EXPECT_EQ(Stats.Entries, 2u);
@@ -302,7 +306,7 @@ TEST(ResultCachePersist, JournalWarmStartServesPreviousWorkload) {
 TEST(ResultCachePersist, CorruptJournalTailTruncatesToValidPrefix) {
   std::string Path = freshJournal("corrupt-tail");
   {
-    ResultCache Cache(8, 1, Path);
+    ResultCache Cache(8, Path);
     Cache.insert("good-one", failedResult("a"));
     Cache.insert("good-two", failedResult("b"));
   }
@@ -314,7 +318,7 @@ TEST(ResultCachePersist, CorruptJournalTailTruncatesToValidPrefix) {
   }
   ASSERT_GT(std::filesystem::file_size(Path), ValidBytes);
 
-  ResultCache Recovered(8, 1, Path);
+  ResultCache Recovered(8, Path);
   EXPECT_EQ(Recovered.stats().Loaded, 2u);
   core::LiftResult Out;
   EXPECT_TRUE(Recovered.lookup("good-one", Out));
@@ -325,7 +329,7 @@ TEST(ResultCachePersist, CorruptJournalTailTruncatesToValidPrefix) {
 
   // And the recovered cache keeps accepting write-through inserts.
   Recovered.insert("post-recovery", failedResult("c"));
-  ResultCache Again(8, 1, Path);
+  ResultCache Again(8, Path);
   EXPECT_EQ(Again.stats().Loaded, 3u);
   std::filesystem::remove(Path);
 }
@@ -335,7 +339,7 @@ TEST(ResultCachePersist, CompactionDropsDeadHistory) {
   {
     // Tiny cache, many distinct keys: most journal records are dead
     // (evicted) history, so the 2x-live compaction threshold trips.
-    ResultCache Cache(4, 1, Path);
+    ResultCache Cache(4, Path);
     for (int I = 0; I < 80; ++I)
       Cache.insert("key" + std::to_string(I), failedResult("r"));
     EXPECT_GE(Cache.stats().Compactions, 1u);
@@ -344,7 +348,7 @@ TEST(ResultCachePersist, CompactionDropsDeadHistory) {
   // Compaction cut the journal to the live set (4) at the trigger point;
   // only post-compaction appends follow it. 80 records went in, far fewer
   // survive, and replaying them rebuilds exactly the final LRU state.
-  ResultCache Warm(4, 1, Path);
+  ResultCache Warm(4, Path);
   EXPECT_LE(Warm.stats().Loaded, 20u);
   EXPECT_EQ(Warm.stats().Entries, 4u);
   core::LiftResult Out;
@@ -353,10 +357,33 @@ TEST(ResultCachePersist, CompactionDropsDeadHistory) {
   std::filesystem::remove(Path);
 }
 
+TEST(ResultCachePersist, CompactionKeepsRecencyOrder) {
+  std::string Path = freshJournal("compaction-order");
+  {
+    // The 64th record trips compaction, so the journal ends as exactly the
+    // live set: key60..key63, oldest first.
+    ResultCache Cache(4, Path);
+    for (int I = 0; I < 64; ++I)
+      Cache.insert("key" + std::to_string(I), failedResult("r"));
+    ASSERT_EQ(Cache.stats().Compactions, 1u);
+  }
+
+  // The replayed cache evicts the oldest survivor first, as the original
+  // would have.
+  ResultCache Warm(4, Path);
+  ASSERT_EQ(Warm.stats().Loaded, 4u);
+  Warm.insert("fresh", failedResult("r"));
+  core::LiftResult Out;
+  EXPECT_FALSE(Warm.lookup("key60", Out));
+  for (const char *Key : {"key61", "key62", "key63", "fresh"})
+    EXPECT_TRUE(Warm.lookup(Key, Out)) << Key;
+  std::filesystem::remove(Path);
+}
+
 TEST(ResultCachePersist, RefreshDoesNotRejournal) {
   std::string Path = freshJournal("refresh");
   {
-    ResultCache Cache(8, 1, Path);
+    ResultCache Cache(8, Path);
     Cache.insert("dup", failedResult("first"));
     Cache.insert("dup", failedResult("second")); // refresh, not insert
     Cache.insert("dup", failedResult("third"));
@@ -371,7 +398,7 @@ TEST(ResultCachePersist, RefreshDoesNotRejournal) {
   // The journaled (first) result is what a restart serves: refreshes do not
   // write through, by design — the first result is authoritative because
   // identical kernel text always lifts identically.
-  ResultCache Warm(8, 1, Path);
+  ResultCache Warm(8, Path);
   core::LiftResult Out;
   ASSERT_TRUE(Warm.lookup("dup", Out));
   EXPECT_EQ(Out.FailReason, "first");
@@ -379,7 +406,7 @@ TEST(ResultCachePersist, RefreshDoesNotRejournal) {
 }
 
 TEST(ResultCachePersist, EmptyJournalPathStaysInMemory) {
-  ResultCache Cache(8, 2); // no path: the default in-memory configuration
+  ResultCache Cache(8); // no path: the default in-memory configuration
   Cache.insert("k", failedResult("x"));
   CacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Loaded, 0u);
@@ -389,7 +416,7 @@ TEST(ResultCachePersist, EmptyJournalPathStaysInMemory) {
 }
 
 //===----------------------------------------------------------------------===//
-// BatchingOracle
+// LiftService
 //===----------------------------------------------------------------------===//
 
 /// Counts propose() calls through to a SimulatedLlm.
@@ -407,64 +434,6 @@ private:
   llm::SimulatedLlm Inner;
   std::shared_ptr<std::atomic<uint64_t>> Calls;
 };
-
-llm::OracleTask taskFor(const bench::Benchmark &B) {
-  llm::OracleTask Task;
-  Task.Query = &B;
-  Task.NumCandidates = 10;
-  return Task;
-}
-
-TEST(BatchingOracle, MatchesInnerBitForBit) {
-  const bench::Benchmark &B = bench::allBenchmarks().front();
-  llm::SimulatedLlm Reference(99);
-  llm::SimulatedLlm Inner(99);
-  BatchingOracle Batched(Inner, 4, /*BatchWaitMicros=*/1000);
-
-  llm::OracleTask Task = taskFor(B);
-  EXPECT_EQ(Batched.propose(Task), Reference.propose(Task));
-  EXPECT_EQ(Batched.stats().ProposeCalls, 1u);
-  EXPECT_EQ(Batched.stats().Rounds, 1u);
-}
-
-TEST(BatchingOracle, CoalescesConcurrentCallsIntoRounds) {
-  const std::vector<bench::Benchmark> &All = bench::allBenchmarks();
-  // More clients than the batch bound: coalescing must happen, but no
-  // round may ever exceed BatchSize (backends can have hard limits).
-  const int Clients = 6;
-  const int BatchBound = 3;
-  llm::SimulatedLlm Inner(7);
-  // A generous wait so concurrent clients land in shared rounds even
-  // under load.
-  BatchingOracle Batched(Inner, BatchBound, /*BatchWaitMicros=*/200000);
-
-  std::vector<std::vector<std::string>> Got(Clients);
-  std::vector<std::thread> Pool;
-  for (int C = 0; C < Clients; ++C)
-    Pool.emplace_back([&, C] {
-      llm::OracleTask Task = taskFor(All[static_cast<size_t>(C)]);
-      Got[static_cast<size_t>(C)] = Batched.propose(Task);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-
-  BatchingStats Stats = Batched.stats();
-  EXPECT_EQ(Stats.ProposeCalls, 6u);
-  EXPECT_LT(Stats.Rounds, 6u); // at least some coalescing happened
-  EXPECT_GE(Stats.MaxBatch, 2u);
-  EXPECT_LE(Stats.MaxBatch, static_cast<uint64_t>(BatchBound));
-
-  // Fan-out gave every client exactly its own task's candidates.
-  llm::SimulatedLlm Reference(7);
-  for (int C = 0; C < Clients; ++C) {
-    llm::OracleTask Task = taskFor(All[static_cast<size_t>(C)]);
-    EXPECT_EQ(Got[static_cast<size_t>(C)], Reference.propose(Task)) << C;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// LiftService
-//===----------------------------------------------------------------------===//
 
 ServiceConfig miniService(int Threads) {
   ServiceConfig Config;
@@ -525,43 +494,6 @@ TEST(LiftService, DisabledCacheAlwaysRunsThePipeline) {
   LiftResponse Second = Service.lift(B);
   EXPECT_FALSE(Second.CacheHit);
   EXPECT_GT(Calls->load(), AfterFirst);
-}
-
-TEST(LiftService, BatchedMatchesUnbatchedBitForBit) {
-  // The whole artificial suite through a batch-4 service and a batch-less
-  // one: per-benchmark results must be identical, program text included.
-  std::vector<const bench::Benchmark *> Suite;
-  for (const bench::Benchmark &B : bench::allBenchmarks())
-    if (B.Category == "artificial")
-      Suite.push_back(&B);
-  ASSERT_EQ(Suite.size(), 10u);
-
-  ServiceConfig Plain = miniService(4);
-  ServiceConfig Batched = miniService(4);
-  Batched.Config.Serve.BatchSize = 4;
-  Batched.Config.Serve.BatchWaitMicros = 2000;
-
-  auto runAll = [&Suite](ServiceConfig Config) {
-    LiftService Service(std::move(Config));
-    std::vector<std::future<LiftResponse>> Replies;
-    for (const bench::Benchmark *B : Suite)
-      Replies.push_back(Service.submit(*B));
-    std::vector<LiftResponse> Out;
-    for (std::future<LiftResponse> &F : Replies)
-      Out.push_back(F.get());
-    return Out;
-  };
-
-  std::vector<LiftResponse> A = runAll(Plain);
-  std::vector<LiftResponse> C = runAll(Batched);
-  ASSERT_EQ(A.size(), C.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Result.Solved, C[I].Result.Solved) << A[I].Benchmark;
-    EXPECT_EQ(A[I].Result.Attempts, C[I].Result.Attempts) << A[I].Benchmark;
-    EXPECT_EQ(taco::printProgram(A[I].Result.Concrete),
-              taco::printProgram(C[I].Result.Concrete))
-        << A[I].Benchmark;
-  }
 }
 
 TEST(LiftService, ConcurrentClientsScheduleIndependence) {

@@ -117,7 +117,27 @@ TEST(TacoParser, ParsesIntegerConstants) {
 TEST(TacoParser, RejectsOutOfRangeConstantAtItsOffset) {
   ParseResult R = parseTacoProgram("out(i) = x(i) * 99999999999999999999");
   ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("at offset 16"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.Error, "numeric literal '99999999999999999999' does not fit "
+                     "in 64 bits at offset 16");
+}
+
+TEST(TacoParser, NamesTheInvalidTokenItStoppedAt) {
+  // An Invalid token is reported by its spelling, not by what the parser
+  // expected in its place; only an all-digit one is called an overflow.
+  ParseResult R = parseTacoProgram("out(i) = x(i) * 0.5");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "invalid token '0.5' at offset 16");
+  R = parseTacoProgram("out(i) = @(i)");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "invalid token '@' at offset 9");
+  ParseExprResult E = parseTacoExpr("b(i) + 18446744073709551616");
+  ASSERT_FALSE(E.ok());
+  EXPECT_EQ(E.Error, "numeric literal '18446744073709551616' does not fit "
+                     "in 64 bits at offset 7");
+  // A valid token keeps the expectation message.
+  R = parseTacoProgram("out(i) = x(i) * )");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "expected identifier at offset 16");
 }
 
 TEST(TacoParser, ExprEntryPoint) {
