@@ -15,12 +15,11 @@ build-type misconfiguration, say), the *absolute* per-iteration ratio is
 also checked against the looser --abs-max-ratio.
 
 --min-speedup KEY:RATIO adds a *within-report* speedup gate: KEY names the
-fast side of a twin pair, resolved by suffix — `KEY_par` pairs with
-`KEY_ser` (parallel vs serial), and `KEY_fused` / `KEY_tiled` pair with
-the bare `KEY` (optimized vs raw). Both twins must be present in the
-CURRENT report; the gate fails unless current[slow] / current[fast]
->= RATIO. Because both sides come from the same run on the same machine,
-no normalization is needed — this is how CI proves the VM optimizer
+fast side of a twin pair, `NAME_fused`, whose slow twin is the bare `NAME`
+(optimized vs raw). Both twins must be present in the CURRENT report; the
+gate fails unless current[slow] / current[fast] >= RATIO. Because both
+sides come from the same run on the same machine, no normalization is
+needed — this is how CI proves the VM optimizer
 actually pays, instead of merely not regressing.
 
 Only entries whose name starts with --prefix (default `micro/`) are gated:
@@ -79,8 +78,8 @@ def main():
                         metavar="KEY:RATIO",
                         help="fail unless the current report shows "
                              "cur[twin of KEY] / cur[KEY] >= RATIO; the twin "
-                             "is KEY with _par->_ser, or KEY without its "
-                             "_fused/_tiled suffix (repeatable)")
+                             "is KEY without its _fused suffix "
+                             "(repeatable)")
     parser.add_argument("--allow-missing", action="store_true",
                         help="do not fail when a baseline entry is missing "
                              "from the current report (local comparisons "
@@ -166,18 +165,10 @@ def main():
     # stops measuring is worse than none.
     for spec in args.min_speedup:
         key, sep, ratio_text = spec.rpartition(":")
-        if key.endswith("_par"):
-            twin = key[:-len("_par")] + "_ser"
-        elif key.endswith("_fused"):
-            twin = key[:-len("_fused")]
-        elif key.endswith("_tiled"):
-            twin = key[:-len("_tiled")]
-        else:
-            twin = ""
-        if not sep or not key or not twin:
+        twin = key[:-len("_fused")] if key.endswith("_fused") else ""
+        if not sep or not twin:
             sys.exit(f"bench_compare: bad --min-speedup spec '{spec}' "
-                     "(expected KEY:RATIO with KEY ending in _par, _fused "
-                     "or _tiled)")
+                     "(expected KEY:RATIO with KEY ending in _fused)")
         try:
             min_ratio = float(ratio_text)
         except ValueError:

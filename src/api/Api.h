@@ -44,9 +44,7 @@ namespace api {
 /// replace the corresponding service-wide value for one request (patch
 /// precedence is total — a set field always wins), unset fields inherit.
 /// Serving-layer knobs (queue depth, cache capacity) are fixed per service
-/// and deliberately not patchable — except "execute_threads", which tiles
-/// one request's execute pass, is bit-identical at any value, and so stays
-/// out of the lift cache key.
+/// and deliberately not patchable.
 struct ConfigPatch {
   std::optional<core::SearchKind> Kind;        ///< "search": "td" | "bu"
   std::optional<int> NumCandidates;            ///< "candidates"
@@ -60,7 +58,6 @@ struct ConfigPatch {
   std::optional<int64_t> VerifyMaxSize;        ///< "verify_max_size"
   std::optional<bool> FullGrammar;             ///< "full_grammar"
   std::optional<bool> EqualProbability;        ///< "equal_probability"
-  std::optional<int> ExecuteThreads;           ///< "execute_threads"
 
   bool empty() const;
 

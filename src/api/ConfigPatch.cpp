@@ -33,7 +33,7 @@ bool ConfigPatch::empty() const {
   return !Kind && !NumCandidates && !NumIoExamples && !ExampleSeed &&
          !SkipVerification && !TimeoutSeconds && !MaxDepth &&
          !MaxExpansions && !MaxAttempts && !VerifyMaxSize && !FullGrammar &&
-         !EqualProbability && !ExecuteThreads;
+         !EqualProbability;
 }
 
 core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
@@ -62,8 +62,6 @@ core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
     Out.Grammar.FullGrammar = *FullGrammar;
   if (EqualProbability)
     Out.Grammar.EqualProbability = *EqualProbability;
-  if (ExecuteThreads)
-    Out.Serve.ExecuteThreads = *ExecuteThreads;
   return Out;
 }
 
@@ -139,9 +137,6 @@ std::string ConfigPatch::fromJson(const Json &Object, ConfigPatch &Out) {
       Error = expectBool(Value, "full_grammar", Out.FullGrammar);
     } else if (Key == "equal_probability") {
       Error = expectBool(Value, "equal_probability", Out.EqualProbability);
-    } else if (Key == "execute_threads") {
-      Error = expectPositiveInt(Value, "execute_threads", Out.ExecuteThreads,
-                                std::numeric_limits<int>::max());
     } else {
       Error = "unknown config key \"" + Key + "\"";
     }
@@ -178,7 +173,5 @@ Json ConfigPatch::toJson() const {
     Out.set("full_grammar", Json::boolean(*FullGrammar));
   if (EqualProbability)
     Out.set("equal_probability", Json::boolean(*EqualProbability));
-  if (ExecuteThreads)
-    Out.set("execute_threads", Json::integer(*ExecuteThreads));
   return Out;
 }

@@ -4,14 +4,12 @@
 
 #include "api/KernelIngest.h"
 #include "support/StringUtils.h"
-#include "support/WorkerPool.h"
 #include "taco/Printer.h"
 #include "validate/IoExamples.h"
 #include "vm/Compiler.h"
 #include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
-#include <algorithm>
 #include <chrono>
 
 using namespace stagg;
@@ -340,45 +338,7 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
                 K->Code.error();
     return Out;
   }
-  core::StaggConfig Effective = Request.Patch.apply(Base);
   std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Io.Sizes);
-
-  // Tile when the request asks for threads and the output is big enough to
-  // amortize the per-tile spawn + bind: disjoint row ranges of the
-  // outermost dimension, one interpreter per tile over the shared Code,
-  // every cell written exactly once at its serial position — bit-identical
-  // to the serial pass by construction.
-  int64_t OutCells = 0;
-  checkedCellCount(OutShape, OutCells); // arg loop above already validated
-  const int64_t Rows = OutShape.empty() ? 0 : OutShape[0];
-  const int Threads =
-      support::resolveThreads(Effective.Serve.ExecuteThreads);
-  const int Tiles = static_cast<int>(
-      std::min<int64_t>(Threads, Rows > 0 ? Rows : 1));
-  if (Tiles > 1 && OutCells >= Effective.Serve.ExecuteTileMinCells) {
-    taco::Tensor<double> Output(OutShape);
-    std::vector<double> &Flat = Output.flat();
-    std::vector<std::string> TileErrors(static_cast<size_t>(Tiles));
-    support::WorkerPool Pool;
-    Pool.run(Tiles, [&](int Worker) {
-      vm::Interpreter<double> Tile(K->Code);
-      if (!Tile.bindMap(Operands, OutShape)) {
-        TileErrors[static_cast<size_t>(Worker)] = Tile.error();
-        return;
-      }
-      Tile.evaluateRows(Flat, Rows * Worker / Tiles,
-                        Rows * (Worker + 1) / Tiles);
-    });
-    for (const std::string &E : TileErrors)
-      if (!E.empty()) {
-        Out.Error = "failed to bind inputs: " + E;
-        return Out;
-      }
-    Out.Shape = Output.shape();
-    Out.Data = std::move(Output.flat());
-    Out.Ok = true;
-    return Out;
-  }
 
   vm::Interpreter<double> Interp(K->Code);
   if (!Interp.bindMap(Operands, OutShape)) {
@@ -391,7 +351,7 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     return Out;
   }
   Out.Shape = Result.Value.shape();
-  Out.Data = Result.Value.flat();
+  Out.Data = std::move(Result.Value.flat());
   Out.Ok = true;
   return Out;
 }

@@ -69,20 +69,6 @@ struct ServeOptions {
   /// Persistent result-cache journal; empty keeps the cache in-memory
   /// only. Loaded at service startup, written through on every insert.
   std::string CachePath;
-
-  /// Worker threads for v2 "execute" requests whose output crosses the
-  /// tiling cell threshold: the outermost output dimension is partitioned
-  /// into disjoint row tiles, each evaluated by its own interpreter over
-  /// the shared compiled program — bit-identical to the serial pass by
-  /// construction. 1 (the default) keeps execution serial; 0 means
-  /// hardware concurrency; patchable per request as "execute_threads".
-  int ExecuteThreads = 1;
-
-  /// Minimum output cell count before an execute request is tiled at all:
-  /// below this, spawn cost dominates and the request runs serially even
-  /// when ExecuteThreads allows more. Not patchable (a deployment-shape
-  /// knob, and bit-identical either way).
-  int64_t ExecuteTileMinCells = 4096;
 };
 
 /// Pipeline configuration.

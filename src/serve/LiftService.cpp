@@ -3,15 +3,23 @@
 #include "serve/LiftService.h"
 
 #include "llm/SimulatedLlm.h"
-#include "support/WorkerPool.h"
 
+#include <thread>
 #include <utility>
 
 using namespace stagg;
 using namespace stagg::serve;
-using support::resolveThreads;
 
 namespace {
+
+/// Resolves the worker-count knob: N > 0 is taken literally, 0 (or
+/// negative) means one worker per hardware thread (at least 1).
+int resolveThreads(int Requested) {
+  if (Requested > 0)
+    return Requested;
+  unsigned Hardware = std::thread::hardware_concurrency();
+  return Hardware > 0 ? static_cast<int>(Hardware) : 1;
+}
 
 OracleFactory defaultFactory() {
   return [](uint64_t Seed) -> std::unique_ptr<llm::CandidateOracle> {

@@ -56,6 +56,14 @@ public:
     ErrorMessage += " at offset " + std::to_string(Tok.Offset);
   }
 
+  /// Fails unless every token has been consumed.
+  bool expectEnd() {
+    if (check(TokKind::End))
+      return true;
+    fail("trailing tokens after expression");
+    return false;
+  }
+
   bool hadError() const { return !ErrorMessage.empty(); }
   const std::string &error() const { return ErrorMessage; }
 
@@ -190,7 +198,8 @@ ParseResult taco::parseTacoProgram(const std::string &Source) {
     return Result;
   }
   if (!P.match(TokKind::Equals)) {
-    Result.Error = "expected '='";
+    P.fail("expected '='");
+    Result.Error = P.error();
     return Result;
   }
   ExprPtr Rhs = P.parseExpr();
@@ -198,8 +207,8 @@ ParseResult taco::parseTacoProgram(const std::string &Source) {
     Result.Error = P.error();
     return Result;
   }
-  if (!P.check(TokKind::End)) {
-    Result.Error = "trailing tokens after expression";
+  if (!P.expectEnd()) {
+    Result.Error = P.error();
     return Result;
   }
   Result.Prog = Program(std::move(*Lhs), std::move(Rhs));
@@ -243,8 +252,8 @@ ParseExprResult taco::parseTacoExpr(const std::string &Source) {
     Result.Error = P.error();
     return Result;
   }
-  if (!P.check(TokKind::End)) {
-    Result.Error = "trailing tokens after expression";
+  if (!P.expectEnd()) {
+    Result.Error = P.error();
     return Result;
   }
   Result.E = std::move(E);

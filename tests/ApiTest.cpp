@@ -474,6 +474,10 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_EQ(api::ConfigPatch::fromJson(
                 parseJson("{\"use_vm_opt\":false}").Value, Bad),
             "unknown config key \"use_vm_opt\"");
+  // Execute runs serially; the old tiling knob is an unknown key.
+  EXPECT_EQ(api::ConfigPatch::fromJson(
+                parseJson("{\"execute_threads\":4}").Value, Bad),
+            "unknown config key \"execute_threads\"");
 }
 
 TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
@@ -500,11 +504,6 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   for (size_t I = 0; I < Patches.size(); ++I)
     EXPECT_NE(core::configFingerprint(Patches[I].apply(Base)), Baseline)
         << "patch #" << I << " is invisible to the cache key";
-
-  // execute_threads changes no lift result, so it must not split the cache.
-  api::ConfigPatch Tiled;
-  Tiled.ExecuteThreads = 4;
-  EXPECT_EQ(core::configFingerprint(Tiled.apply(Base)), Baseline);
 }
 
 //===----------------------------------------------------------------------===//
@@ -713,85 +712,6 @@ TEST(Endpoint, SubmittedKernelOutlivesItsSourceBuffer) {
   ASSERT_TRUE(Response.ok()) << Response.Error;
   EXPECT_TRUE(Response.Result.Solved);
   EXPECT_EQ(Response.Name, "ephemeral");
-}
-
-//===----------------------------------------------------------------------===//
-// api::Endpoint — parallel tiled execute
-//===----------------------------------------------------------------------===//
-
-TEST(Endpoint, TiledExecuteIsBitIdenticalToSerial) {
-  // A 4-thread endpoint with a tiny tiling threshold against the serial
-  // default: every output size must produce exactly the same cells.
-  // N = 1 exercises the one-row degenerate case (fewer rows than
-  // threads), 7 sits below the threshold (serial path even with threads
-  // allowed), 8 is the tiling boundary, 97 is prime so the row tiles are
-  // deliberately unequal.
-  serve::ServiceConfig TiledConfig = miniService(1);
-  TiledConfig.Config.Serve.ExecuteThreads = 4;
-  TiledConfig.Config.Serve.ExecuteTileMinCells = 8;
-  api::Endpoint Tiled(TiledConfig);
-  api::Endpoint Serial(miniService(1));
-
-  api::LiftRequest Request;
-  Request.RegistryName = "art_add";
-  api::LiftResponse TiledLift = Tiled.lift(Request);
-  api::LiftResponse SerialLift = Serial.lift(Request);
-  ASSERT_TRUE(TiledLift.ok()) << TiledLift.Error;
-  ASSERT_TRUE(SerialLift.ok()) << SerialLift.Error;
-
-  for (int64_t N : {int64_t(1), int64_t(7), int64_t(8), int64_t(97)}) {
-    api::ExecuteIo Io;
-    Io.Sizes["N"] = N;
-    std::vector<double> A(static_cast<size_t>(N)), B(A.size());
-    for (size_t I = 0; I < A.size(); ++I) {
-      A[I] = 0.25 * static_cast<double>(I) + 1.0;
-      B[I] = 1.0 / (static_cast<double>(I) + 3.0);
-    }
-    Io.Arrays["a"] = A;
-    Io.Arrays["b"] = B;
-
-    api::ExecuteOutcome Par = Tiled.executeLifted(Request, Io, TiledLift);
-    api::ExecuteOutcome Ser = Serial.executeLifted(Request, Io, SerialLift);
-    ASSERT_TRUE(Par.Ok) << "N=" << N << ": " << Par.Error;
-    ASSERT_TRUE(Ser.Ok) << "N=" << N << ": " << Ser.Error;
-    EXPECT_EQ(Par.Shape, Ser.Shape) << "N=" << N;
-    EXPECT_EQ(Par.Data, Ser.Data) << "N=" << N; // bitwise, not approximate
-  }
-}
-
-TEST(Endpoint, ExecuteThreadsIsPatchablePerRequest) {
-  // The wire knob: a serial endpoint executes tiled when the request
-  // patches execute_threads, with identical cells.
-  api::Endpoint Endpoint(miniService(1));
-
-  api::LiftRequest Plain;
-  Plain.RegistryName = "art_add";
-  api::LiftResponse PlainLift = Endpoint.lift(Plain);
-  ASSERT_TRUE(PlainLift.ok()) << PlainLift.Error;
-
-  api::LiftRequest Patched = Plain;
-  Patched.Patch.ExecuteThreads = 4;
-  api::LiftResponse PatchedLift = Endpoint.lift(Patched);
-  ASSERT_TRUE(PatchedLift.ok()) << PatchedLift.Error;
-  // Tiling changes no lift result, so the patched lift is a cache hit.
-  EXPECT_TRUE(PatchedLift.CacheHit);
-
-  api::ExecuteIo Io;
-  const int64_t N = 64;
-  Io.Sizes["N"] = N;
-  std::vector<double> A(static_cast<size_t>(N)), B(A.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    A[I] = static_cast<double>(I % 13) * 0.5;
-    B[I] = static_cast<double>(I % 7) * 0.125;
-  }
-  Io.Arrays["a"] = A;
-  Io.Arrays["b"] = B;
-
-  api::ExecuteOutcome Ser = Endpoint.executeLifted(Plain, Io, PlainLift);
-  api::ExecuteOutcome Par = Endpoint.executeLifted(Patched, Io, PatchedLift);
-  ASSERT_TRUE(Ser.Ok) << Ser.Error;
-  ASSERT_TRUE(Par.Ok) << Par.Error;
-  EXPECT_EQ(Ser.Data, Par.Data);
 }
 
 TEST(Endpoint, VmCacheCountsCompilesAndHits) {

@@ -159,8 +159,10 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
   EXPECT_FALSE(parse({"--queue-depth", "0"}).ok());
   EXPECT_FALSE(parse({"--queue-depth", "-1"}).ok());
 
-  // Oracle batching and cache sharding are gone; their flags are unknown.
-  for (const char *Retired : {"--batch", "--batch-wait-us", "--cache-shards"}) {
+  // Oracle batching, cache sharding and tiled execute are gone; their flags
+  // are unknown.
+  for (const char *Retired : {"--batch", "--batch-wait-us", "--cache-shards",
+                              "--execute-threads"}) {
     P = parse({"serve", Retired, "2"});
     ASSERT_FALSE(P.ok()) << Retired;
     EXPECT_NE(P.Error.find("unknown flag '" + std::string(Retired) + "'"),
@@ -189,11 +191,10 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
 }
 
 TEST(DriverCli, VmOptimizerAndExecuteKnobs) {
-  // Defaults: optimizer on, serial execute, single bench measurement.
+  // Defaults: optimizer on, single bench measurement.
   CliParse P = parse({});
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_TRUE(P.Options.Config.UseVmOpt);
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 1);
   EXPECT_EQ(P.Options.BenchRepeat, 1);
 
   // No command but `stagg disasm` picks a VM stream, so --no-vm-opt is
@@ -208,21 +209,6 @@ TEST(DriverCli, VmOptimizerAndExecuteKnobs) {
   ASSERT_FALSE(P.ok());
   EXPECT_NE(P.Error.find("unknown flag '--no-vm'"), std::string::npos)
       << P.Error;
-
-  P = parse({"serve", "--execute-threads", "4"});
-  ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 4);
-  // 0 is a valid spelling here: hardware concurrency.
-  P = parse({"serve", "--execute-threads=0"});
-  ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 0);
-  EXPECT_FALSE(parse({"serve", "--execute-threads", "-1"}).ok());
-  EXPECT_FALSE(parse({"serve", "--execute-threads", "many"}).ok());
-  EXPECT_FALSE(parse({"serve", "--execute-threads"}).ok());
-  // Serve-only: batch mode never answers execute requests.
-  P = parse({"--execute-threads", "4"});
-  ASSERT_FALSE(P.ok());
-  EXPECT_NE(P.Error.find("serve"), std::string::npos) << P.Error;
 
   P = parse({"bench", "--repeat", "5"});
   ASSERT_TRUE(P.ok()) << P.Error;

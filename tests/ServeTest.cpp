@@ -558,6 +558,14 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
   EXPECT_GE(Stats.Hits, 24u);
 }
 
+TEST(LiftService, ThreadsResolvesTheWorkerKnob) {
+  // N > 0 is taken literally; 0 or negative means one worker per hardware
+  // thread, and always at least one.
+  EXPECT_EQ(LiftService(miniService(3)).threads(), 3);
+  EXPECT_GE(LiftService(miniService(0)).threads(), 1);
+  EXPECT_GE(LiftService(miniService(-2)).threads(), 1);
+}
+
 TEST(LiftService, SubmitAfterShutdownFailsFast) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   LiftService Service(miniService(1));

@@ -140,6 +140,26 @@ TEST(TacoParser, NamesTheInvalidTokenItStoppedAt) {
   EXPECT_EQ(R.Error, "expected identifier at offset 16");
 }
 
+TEST(TacoParser, StructuralErrorsCarryTheirOffset) {
+  // A missing '=' and trailing tokens are located like every other error,
+  // and an Invalid token there is named by its spelling.
+  ParseResult R = parseTacoProgram("out(i) x(i)");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "expected '=' at offset 7");
+  R = parseTacoProgram("out(i) = x(i) y(i)");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "trailing tokens after expression at offset 14");
+  R = parseTacoProgram("out(i) # x(i)");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "invalid token '#' at offset 7");
+  R = parseTacoProgram("out(i) = x(i) 0.5");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "invalid token '0.5' at offset 14");
+  ParseExprResult E = parseTacoExpr("b(i) c(i)");
+  ASSERT_FALSE(E.ok());
+  EXPECT_EQ(E.Error, "trailing tokens after expression at offset 5");
+}
+
 TEST(TacoParser, ExprEntryPoint) {
   ParseExprResult R = parseTacoExpr("b(i) * c(j)");
   ASSERT_TRUE(R.ok());

@@ -151,6 +151,42 @@ TEST(VmOptimizerTest, MapSpanHandlesTransposedOperandViaStride) {
   expectOptIdentical(parse("a(i,j) = b(j,i)"), Ops, {4, 3});
 }
 
+TEST(VmOptimizerTest, MapSpanVisitsEachCellOnce) {
+  // The span covers the innermost output dimension; the odometer over the
+  // dimensions before it must run each span once, so compare() calls
+  // CellOk exactly once per output cell at every rank.
+  struct Case {
+    const char *Source;
+    std::vector<int64_t> Shape;
+  };
+  for (const Case &C : {Case{"a(i,j) = b(i,j) + c(i,j)", {3, 5}},
+                        Case{"a(i,j,k) = b(i,j,k) * c(i,j,k)", {2, 3, 4}}}) {
+    vm::OptimizeOptions OO;
+    OO.FreezeConstants = true;
+    vm::Code Opt = vm::optimize(vm::compileProgram(parse(C.Source)), OO);
+    ASSERT_EQ(countOp(Opt.statements()[0], vm::Op::MapSpan), 1) << C.Source;
+
+    std::map<std::string, taco::Tensor<double>> Ops;
+    Ops.emplace("b", filled(C.Shape, 1));
+    Ops.emplace("c", filled(C.Shape, 2));
+    expectOptIdentical(parse(C.Source), Ops, C.Shape);
+
+    vm::Interpreter<double> Interp(Opt);
+    ASSERT_TRUE(Interp.bindMap(Ops, C.Shape)) << Interp.error();
+    taco::EinsumResult<double> Want = Interp.evaluate();
+    ASSERT_TRUE(Want.Ok);
+    size_t Calls = 0;
+    EXPECT_EQ(Interp.compare(Want.Value.flat(),
+                             [&Calls](double Got, double Expected) {
+                               ++Calls;
+                               return Got == Expected;
+                             }),
+              taco::EinsumCompare::Match)
+        << C.Source;
+    EXPECT_EQ(Calls, Want.Value.flat().size()) << C.Source;
+  }
+}
+
 TEST(VmOptimizerTest, ThreeOperandExpressionStaysScalar) {
   // Two binary ops exceed the tiny shapes MapSpan recognizes; the
   // statement must stay a scalar stream and still evaluate correctly.
@@ -460,39 +496,6 @@ TEST(VmOptimizerTest, VerifierVerdictsMatchWithAndWithoutOpt) {
   EXPECT_FALSE(Opt.Equivalent);
   EXPECT_EQ(Opt.TestsRun, Raw.TestsRun);
   EXPECT_EQ(Opt.Counterexample, Raw.Counterexample);
-}
-
-//===----------------------------------------------------------------------===
-// evaluateRows: tiled execution is cell-identical to a serial evaluate.
-//===----------------------------------------------------------------------===
-
-TEST(VmOptimizerTest, EvaluateRowsTilesAreBitIdenticalToSerial) {
-  taco::Program P = parse("a(i,j) = b(i,k) * c(k,j)");
-  vm::OptimizeOptions OO;
-  OO.FreezeConstants = true;
-  vm::Code Code = vm::optimize(vm::compileProgram(P), OO);
-  ASSERT_TRUE(Code.ok());
-
-  // Prime row count: tiles of unequal height, including a short last one.
-  const int64_t Rows = 7, Cols = 5;
-  std::map<std::string, taco::Tensor<double>> Ops;
-  Ops.emplace("b", filled({Rows, 4}, 1));
-  Ops.emplace("c", filled({4, Cols}, 2));
-
-  vm::Interpreter<double> Serial(Code);
-  ASSERT_TRUE(Serial.bindMap(Ops, {Rows, Cols})) << Serial.error();
-  taco::EinsumResult<double> Want = Serial.evaluate();
-  ASSERT_TRUE(Want.Ok);
-
-  for (int Tiles : {1, 2, 3, 7}) {
-    std::vector<double> Flat(static_cast<size_t>(Rows * Cols), -1.0);
-    for (int W = 0; W < Tiles; ++W) {
-      vm::Interpreter<double> Tile(Code);
-      ASSERT_TRUE(Tile.bindMap(Ops, {Rows, Cols})) << Tile.error();
-      Tile.evaluateRows(Flat, Rows * W / Tiles, Rows * (W + 1) / Tiles);
-    }
-    EXPECT_EQ(Flat, Want.Value.flat()) << Tiles << " tiles";
-  }
 }
 
 } // namespace
