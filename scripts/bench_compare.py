@@ -41,21 +41,27 @@ import sys
 CALIBRATION = "micro/taco_parse"
 
 
+def bad_input(message):
+    """Reports unusable input and exits 2, apart from a regression's 1."""
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        sys.exit(f"bench_compare: cannot read {path}: {err}")
+        bad_input(f"bench_compare: cannot read {path}: {err}")
     if doc.get("schema") != "stagg-bench" or doc.get("version") != 1:
-        sys.exit(f"bench_compare: {path} is not a stagg-bench v1 report")
+        bad_input(f"bench_compare: {path} is not a stagg-bench v1 report")
     entries = {}
     for entry in doc.get("benchmarks", []):
         per_iter = entry.get("per_iter_seconds", 0)
         if per_iter > 0:
             entries[entry["name"]] = per_iter
     if CALIBRATION not in entries:
-        sys.exit(f"bench_compare: {path} lacks the {CALIBRATION} "
+        bad_input(f"bench_compare: {path} lacks the {CALIBRATION} "
                  "calibration benchmark")
     return entries, doc.get("config_fingerprint", "")
 
@@ -167,12 +173,12 @@ def main():
         key, sep, ratio_text = spec.rpartition(":")
         twin = key[:-len("_fused")] if key.endswith("_fused") else ""
         if not sep or not twin:
-            sys.exit(f"bench_compare: bad --min-speedup spec '{spec}' "
+            bad_input(f"bench_compare: bad --min-speedup spec '{spec}' "
                      "(expected KEY:RATIO with KEY ending in _fused)")
         try:
             min_ratio = float(ratio_text)
         except ValueError:
-            sys.exit(f"bench_compare: bad --min-speedup ratio in '{spec}'")
+            bad_input(f"bench_compare: bad --min-speedup ratio in '{spec}'")
         missing = [n for n in (key, twin) if n not in cur]
         if missing:
             for name in missing:

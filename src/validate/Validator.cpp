@@ -7,8 +7,11 @@
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <functional>
+#include <string_view>
 
 using namespace stagg;
 using namespace stagg::validate;
@@ -63,9 +66,54 @@ taco::Program validate::instantiateTemplate(
                  Template.Rhs ? Rewrite(*Template.Rhs) : nullptr);
 }
 
+/// The keys are packed end to end in one buffer and found through an
+/// open-addressing table of key numbers, so an entry costs its text and a
+/// few bytes of index instead of a hash node and a heap string. The largest
+/// registry lifts keep a few thousand keys.
+class Validator::RejectedKeys {
+public:
+  size_t size() const { return Ends.size(); }
+
+  bool contains(std::string_view Key) const {
+    return !Table.empty() && Table[slot(Key)] != 0;
+  }
+
+  /// \p Key must not be present yet.
+  void insert(std::string_view Key) {
+    if (2 * (Ends.size() + 1) > Table.size()) {
+      Table.assign(std::max<size_t>(64, 2 * Table.size()), 0);
+      for (uint32_t I = 0; I < Ends.size(); ++I)
+        Table[slot(key(I))] = I + 1;
+    }
+    Text.append(Key);
+    Ends.push_back(static_cast<uint32_t>(Text.size()));
+    Table[slot(Key)] = static_cast<uint32_t>(Ends.size());
+  }
+
+private:
+  std::string_view key(uint32_t I) const {
+    uint32_t Begin = I == 0 ? 0 : Ends[I - 1];
+    return std::string_view(Text).substr(Begin, Ends[I] - Begin);
+  }
+
+  /// The slot holding \p Key, or the empty slot where it would go.
+  size_t slot(std::string_view Key) const {
+    const size_t Mask = Table.size() - 1;
+    size_t At = std::hash<std::string_view>()(Key) & Mask;
+    while (Table[At] != 0 && key(Table[At] - 1) != Key)
+      At = (At + 1) & Mask;
+    return At;
+  }
+
+  std::string Text;             ///< Every key, end to end.
+  std::vector<uint32_t> Ends;   ///< Key I ends at Ends[I] in Text.
+  std::vector<uint32_t> Table;  ///< Key number + 1; 0 is empty.
+};
+
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
                      std::vector<int64_t> Constants, bool, bool)
-    : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)) {
+    : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
+      Rejected(std::make_unique<RejectedKeys>()) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
@@ -122,6 +170,8 @@ Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
 }
 
 Validator::~Validator() = default;
+
+size_t Validator::rejectedTemplates() const { return Rejected->size(); }
 
 namespace {
 
@@ -252,6 +302,77 @@ ExprPtr withConstantSlots(const Expr &E, std::vector<ConstantExpr *> &Nodes) {
   return nullptr;
 }
 
+void appendAccess(const AccessExpr &A, std::string &Key) {
+  Key += A.name();
+  if (A.order() == 0)
+    return;
+  char Sep = '(';
+  for (const std::string &Var : A.indices()) {
+    Key += Sep;
+    Key += Var;
+    Sep = ',';
+  }
+  Key += ')';
+}
+
+/// Appends the canonical text of \p E to \p Key: fully parenthesized, with
+/// the operands of every `+` and `*` ordered by their own canonical text, so
+/// commutative twins write the same key. The operands are written in place
+/// and swapped by rotation, so no node builds a temporary string.
+void appendCanonical(const Expr &E, std::string &Key) {
+  switch (E.kind()) {
+  case Expr::Kind::Access:
+    appendAccess(exprCast<AccessExpr>(E), Key);
+    return;
+  case Expr::Kind::Constant: {
+    const auto &C = exprCast<ConstantExpr>(E);
+    if (C.isSymbolic()) {
+      Key += '$';
+      return;
+    }
+    char Digits[24];
+    Key += '#';
+    Key.append(Digits,
+               std::to_chars(Digits, Digits + sizeof(Digits), C.value()).ptr);
+    return;
+  }
+  case Expr::Kind::Binary: {
+    const auto &Bin = exprCast<BinaryExpr>(E);
+    Key += '(';
+    const size_t Lhs = Key.size();
+    appendCanonical(Bin.lhs(), Key);
+    const size_t Op = Key.size();
+    Key += binOpSpelling(Bin.op());
+    const size_t Rhs = Key.size();
+    appendCanonical(Bin.rhs(), Key);
+    const size_t RhsLen = Key.size() - Rhs;
+    if ((Bin.op() == BinOpKind::Add || Bin.op() == BinOpKind::Mul) &&
+        Key.compare(Rhs, RhsLen, Key, Lhs, Op - Lhs) < 0) {
+      // "L op R" -> "R L op" -> "R op L".
+      std::rotate(Key.begin() + Lhs, Key.begin() + Rhs, Key.end());
+      std::rotate(Key.begin() + Lhs + RhsLen, Key.end() - (Rhs - Op),
+                  Key.end());
+    }
+    Key += ')';
+    return;
+  }
+  case Expr::Kind::Negate:
+    Key += "(-";
+    appendCanonical(exprCast<NegateExpr>(E).operand(), Key);
+    Key += ')';
+    return;
+  case Expr::Kind::Max: {
+    const auto &M = exprCast<MaxExpr>(E);
+    Key += "max{";
+    appendCanonical(M.lhs(), Key);
+    Key += ',';
+    appendCanonical(M.rhs(), Key);
+    Key += '}';
+    return;
+  }
+  }
+}
+
 /// Index of \p Name in \p Names, appending it when absent.
 int intern(std::vector<const std::string *> &Names, const std::string &Name) {
   for (size_t I = 0; I < Names.size(); ++I)
@@ -303,6 +424,8 @@ struct Validator::Scratch {
   std::vector<uint64_t> JointStamp;
   std::vector<uint64_t> BoundEpoch;
   std::vector<char> BindOk;
+  /// The template's canonical key (appendCanonical), rewritten per call.
+  std::string Key;
 
   void collect(const Expr &E) {
     switch (E.kind()) {
@@ -484,6 +607,16 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   W.ConstraintsAt.push_back(W.Constraints.size());
   const size_t NumBound = W.Bound.size();
 
+  // Only templates that got this far are memoized, so the memo holds the
+  // few templates whose rejection costs a compile and an evaluation, not
+  // the many the filters above reject for free.
+  W.Key.clear();
+  appendAccess(Template.Lhs, W.Key);
+  W.Key += '=';
+  appendCanonical(*Template.Rhs, W.Key);
+  if (Rejected->contains(W.Key))
+    return Valid;
+
   // The template is compiled *once* and evaluated directly under each
   // symbol binding: instantiation only renames tensors and fills constant
   // values, neither of which changes the compiled structure, reduction
@@ -635,7 +768,10 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
       }
       W.Pick[Axis] = 0;
     }
-    if (NumBound == 0 || Wrapped)
+    if (NumBound == 0 || Wrapped) {
+      if (Valid.empty())
+        Rejected->insert(W.Key);
       return Valid;
+    }
   }
 }

@@ -64,7 +64,20 @@ struct Instantiation {
 ///  * instantiation evaluation short-circuits on the first failing output
 ///    cell of the first failing I/O example (vm::Interpreter::compare);
 ///  * the concrete program and symbol binding of an instantiation are only
-///    built once it has passed every example.
+///    built once it has passed every example;
+///  * a template whose commutative twin was already rejected is rejected
+///    without being compiled or evaluated. The memo keys each template by
+///    its canonical text, with the operands of every `+` and `*` sorted, and
+///    holds only templates that passed the shape filters and then had no
+///    consistent instantiation. IEEE `+` and `*` commute bitwise, reduction
+///    placement and loop order do not depend on operand order, and the
+///    constant odometer covers every assignment whatever the leaf order, so
+///    a twin has exactly the same consistent instantiations (cellsMatch
+///    rejects non-finite cells, so NaN payloads play no part). Only empty
+///    results are memoized: a twin of a passing template enumerates in its
+///    own order, and the MaxResults cap could surface a different prefix.
+///    `-`, `/` and `max` keep their operand order, because they do not
+///    commute (`std::max(-0.0, +0.0)` depends on it too).
 ///
 /// Every pruned candidate is one the einsum evaluator would have rejected,
 /// so the surviving set — and the enumeration order within it — is
@@ -90,6 +103,10 @@ public:
   /// Shape-pruned bindings never reach evaluation and are not counted.
   int64_t instantiationsTried() const { return Tried; }
 
+  /// Templates memoized as rejected so far: each one answers its
+  /// commutative twins without evaluating anything.
+  size_t rejectedTemplates() const;
+
   const std::vector<IoExample> &examples() const { return Examples; }
 
 private:
@@ -104,6 +121,8 @@ private:
 
   /// Per-call working set, reused across calls.
   struct Scratch;
+  /// The canonical keys of the templates rejected at the compile point.
+  class RejectedKeys;
 
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
@@ -114,6 +133,7 @@ private:
   std::vector<std::vector<int>> ArgsOfRank;
   mutable int64_t Tried = 0;
   mutable std::unique_ptr<Scratch> Work;
+  mutable std::unique_ptr<RejectedKeys> Rejected;
 };
 
 /// Rewrites \p Template by applying \p SymbolBinding to tensor names and

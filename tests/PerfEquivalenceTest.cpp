@@ -10,6 +10,11 @@
 //    test counts, and counterexample strings identical to the uncached
 //    path; and restricting the one-hot sweep to multiplied operand pairs
 //    must not change any verdict on the registry candidates.
+//  * Validator memo: a template whose commutative twin was rejected is
+//    rejected without evaluation. The twins in templatePool() cross-check
+//    the memo's answers against the naive enumerator, and
+//    CommutativeMirrorsAgreeOnRejection checks the invariant it rests on,
+//    without the memo, on real search streams.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +24,13 @@
 #include "api/KernelIngest.h"
 #include "benchsuite/Benchmark.h"
 #include "cfront/Parser.h"
+#include "grammar/DimensionList.h"
+#include "grammar/Pcfg.h"
 #include "grammar/Template.h"
+#include "llm/Prompt.h"
+#include "llm/ResponseParser.h"
+#include "llm/SimulatedLlm.h"
+#include "search/TopDown.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 #include "taco/Semantics.h"
@@ -30,6 +41,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 
 using namespace stagg;
@@ -224,6 +236,20 @@ const std::vector<std::string> &templatePool() {
       "a(i,j) = b(i,j) + c(i,j)",
       "a(i,j) = b(j,i)",
       "a(i,j) = b(i,k) * c(k,j)",
+      // Commutative twins of the templates above. Most are rejected on
+      // most kernels, so the validator answers them from its memo of
+      // rejected templates.
+      "a(i) = c(i) + b(i)",
+      "a(i) = c(i) * b(i)",
+      "a(i) = d(i) + c(i) * b",
+      "a(i) = c(j) * b(i,j)",
+      "a(i) = c(j) * b(j,i)",
+      "a(i) = b(i) * Const",
+      "a(i) = Const + b(i) / Const",
+      "a(i) = b(i) + a(i)",
+      "a = c(i) * b(i)",
+      "a(i,j) = c(i,j) + b(i,j)",
+      "a(i,j) = c(k,j) * b(i,k)",
   };
   return Pool;
 }
@@ -254,7 +280,107 @@ TEST(PerfEquivalence, ValidatorMatchesNaiveEnumerator) {
         V.validate(Truth, 64),
         naiveValidate(*F.B, F.Examples, F.Constants, Truth, 64),
         std::string(Name) + " / templatized ground truth");
+    EXPECT_GT(V.rejectedTemplates(), 0u) << Name;
   }
+}
+
+namespace {
+
+/// \p E with the operands of every `+` and `*` swapped.
+taco::ExprPtr mirror(const taco::Expr &E) {
+  switch (E.kind()) {
+  case taco::Expr::Kind::Access:
+  case taco::Expr::Kind::Constant:
+    return E.clone();
+  case taco::Expr::Kind::Binary: {
+    const auto &Bin = taco::exprCast<taco::BinaryExpr>(E);
+    taco::ExprPtr Lhs = mirror(Bin.lhs());
+    taco::ExprPtr Rhs = mirror(Bin.rhs());
+    if (Bin.op() == taco::BinOpKind::Add || Bin.op() == taco::BinOpKind::Mul)
+      std::swap(Lhs, Rhs);
+    return std::make_unique<taco::BinaryExpr>(Bin.op(), std::move(Lhs),
+                                              std::move(Rhs));
+  }
+  case taco::Expr::Kind::Negate:
+    return std::make_unique<taco::NegateExpr>(
+        mirror(taco::exprCast<taco::NegateExpr>(E).operand()));
+  case taco::Expr::Kind::Max: {
+    const auto &M = taco::exprCast<taco::MaxExpr>(E);
+    return std::make_unique<taco::MaxExpr>(mirror(M.lhs()), mirror(M.rhs()));
+  }
+  }
+  return nullptr;
+}
+
+} // namespace
+
+TEST(PerfEquivalence, CommutativeMirrorsAgreeOnRejection) {
+  // The invariant behind the validator's memo of rejected templates, checked
+  // without the memo: a template has no consistent instantiation exactly
+  // when its mirror has none. Every template and every mirror gets a fresh
+  // Validator, so no answer comes from a memo. The templates are the first
+  // top-down candidates of four search-heavy kernels, built the way
+  // core::liftBenchmark builds them. Without a result cap, both sides also
+  // evaluate the same number of instantiations and accept the same
+  // programs up to the mirror.
+  int64_t Rejected = 0, Passed = 0;
+  for (const char *Name : {"blas_axpby", "fused_scale_shift", "misc_gemv_pair",
+                           "misc_mm3_chain"}) {
+    Fixture F(Name);
+    ASSERT_TRUE(F.Ok) << Name;
+    analysis::KernelModel Model = analysis::buildKernelModel(*F.Fn);
+    llm::SimulatedLlm Oracle(20250411);
+    llm::OracleTask Task;
+    Task.Query = F.B;
+    Task.Prompt = llm::buildPrompt(F.B->CSource, 10);
+    Task.NumCandidates = 10;
+    std::vector<grammar::Templatized> Templates;
+    for (const taco::Program &P :
+         llm::parseResponses(Oracle.propose(Task)).Programs)
+      if (taco::checkWellFormed(P).empty())
+        Templates.push_back(grammar::templatize(P));
+    int LhsDim = Model.Summary.LhsDim;
+    grammar::TemplateGrammar G = grammar::buildTemplateGrammar(
+        Templates, grammar::predictDimensionList(Templates, LhsDim), LhsDim,
+        grammar::GrammarOptions());
+    Rng ExampleRng(0xE9A3);
+    std::vector<IoExample> Examples =
+        generateExamples(*F.B, *F.Fn, 3, ExampleRng);
+    ASSERT_FALSE(Examples.empty()) << Name;
+
+    search::SearchConfig Config;
+    Config.MaxAttempts = 2000;
+    std::unique_ptr<search::CandidateStream> Stream =
+        search::makeTopDownStream(G, Config);
+    taco::Program Template;
+    while (Stream->next(Template)) {
+      taco::Program Mirror(Template.Lhs, mirror(*Template.Rhs));
+      Validator Plain(*F.B, Examples, Model.Summary.Constants);
+      Validator Mirrored(*F.B, Examples, Model.Summary.Constants);
+      std::vector<Instantiation> Found = Plain.validate(Template, SIZE_MAX);
+      std::vector<Instantiation> MirrorFound =
+          Mirrored.validate(Mirror, SIZE_MAX);
+      std::string Context = std::string(Name) + ": " +
+                            taco::printProgram(Template) + " vs " +
+                            taco::printProgram(Mirror);
+      EXPECT_EQ(Found.empty(), MirrorFound.empty()) << Context;
+      EXPECT_EQ(Plain.instantiationsTried(), Mirrored.instantiationsTried())
+          << Context;
+      std::vector<std::string> Accepted, MirrorAccepted;
+      for (const Instantiation &Inst : Found)
+        Accepted.push_back(taco::printProgram(taco::Program(
+            Inst.Concrete.Lhs, mirror(*Inst.Concrete.Rhs))));
+      for (const Instantiation &Inst : MirrorFound)
+        MirrorAccepted.push_back(taco::printProgram(Inst.Concrete));
+      std::sort(Accepted.begin(), Accepted.end());
+      std::sort(MirrorAccepted.begin(), MirrorAccepted.end());
+      EXPECT_EQ(Accepted, MirrorAccepted) << Context;
+      ++(Found.empty() ? Rejected : Passed);
+    }
+    EXPECT_GE(Stream->attempts(), 1000) << Name;
+  }
+  EXPECT_GT(Rejected, 0);
+  EXPECT_GT(Passed, 0);
 }
 
 namespace {

@@ -163,3 +163,88 @@ TEST(Validator, TransposeNeedsMatchingBinding) {
   EXPECT_EQ(Valid.front().SymbolBinding.at("b"), "A");
   EXPECT_TRUE(V.validate(parse("a(i,j) = b(i,j)")).empty());
 }
+
+TEST(ValidatorMemo, RejectedSumAnswersItsTwinWithoutEvaluating) {
+  Fixture F("blas_gemv_ptr");
+  Validator V(*F.B, F.Examples, F.Constants);
+  EXPECT_TRUE(V.validate(parse("a(i) = b(i,j) + c(j)")).empty());
+  int64_t Tried = V.instantiationsTried();
+  EXPECT_GT(Tried, 0);
+  EXPECT_TRUE(V.validate(parse("a(i) = c(j) + b(i,j)")).empty());
+  EXPECT_EQ(V.instantiationsTried(), Tried);
+}
+
+TEST(ValidatorMemo, NestedProductTwinHitsTheMemo) {
+  Fixture F("blas_gemv_ptr");
+  Validator V(*F.B, F.Examples, F.Constants);
+  EXPECT_TRUE(V.validate(parse("a(i) = (b(i,j) + c(j)) * c(j)")).empty());
+  int64_t Tried = V.instantiationsTried();
+  EXPECT_GT(Tried, 0);
+  // Both the product and the sum inside it are swapped.
+  EXPECT_TRUE(V.validate(parse("a(i) = c(j) * (c(j) + b(i,j))")).empty());
+  EXPECT_TRUE(V.validate(parse("a(i) = (c(j) + b(i,j)) * c(j)")).empty());
+  EXPECT_EQ(V.instantiationsTried(), Tried);
+  EXPECT_EQ(V.rejectedTemplates(), 1u);
+}
+
+TEST(ValidatorMemo, NonCommutativeTwinsAreStillEvaluated) {
+  Fixture F("blas_gemv_ptr");
+  Validator V(*F.B, F.Examples, F.Constants);
+  for (const auto &[Template, Twin] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"a(i) = b(i,j) - c(j)", "a(i) = c(j) - b(i,j)"},
+           {"a(i) = b(i,j) / c(j)", "a(i) = c(j) / b(i,j)"},
+           {"a(i) = max(b(i,j), c(j))", "a(i) = max(c(j), b(i,j))"}}) {
+    EXPECT_TRUE(V.validate(parse(Template)).empty()) << Template;
+    int64_t Tried = V.instantiationsTried();
+    EXPECT_TRUE(V.validate(parse(Twin)).empty()) << Twin;
+    EXPECT_GT(V.instantiationsTried(), Tried) << Twin;
+  }
+  EXPECT_EQ(V.rejectedTemplates(), 6u);
+}
+
+TEST(ValidatorMemo, TwinOfPassingTemplateKeepsItsOwnInstantiations) {
+  Fixture F("art_add");
+  Validator V(*F.B, F.Examples, F.Constants);
+  ASSERT_FALSE(V.validate(parse("a(i) = b(i) + c(i)")).empty());
+  EXPECT_EQ(V.rejectedTemplates(), 0u);
+  int64_t Tried = V.instantiationsTried();
+  taco::Program Twin = parse("a(i) = c(i) + b(i)");
+  std::vector<Instantiation> Warm = V.validate(Twin);
+  EXPECT_GT(V.instantiationsTried(), Tried);
+  // A fresh validator has seen nothing: the warm one must agree with it,
+  // instantiation for instantiation, in order.
+  Validator Fresh(*F.B, F.Examples, F.Constants);
+  std::vector<Instantiation> Cold = Fresh.validate(Twin);
+  ASSERT_FALSE(Cold.empty());
+  ASSERT_EQ(Warm.size(), Cold.size());
+  for (size_t I = 0; I < Warm.size(); ++I) {
+    EXPECT_EQ(taco::printProgram(Warm[I].Concrete),
+              taco::printProgram(Cold[I].Concrete));
+    EXPECT_EQ(Warm[I].SymbolBinding, Cold[I].SymbolBinding);
+  }
+  // The twin enumerates its first symbol, c, outermost.
+  EXPECT_EQ(Warm.front().SymbolBinding.at("c"), "a");
+  EXPECT_EQ(Warm.front().SymbolBinding.at("b"), "b");
+}
+
+TEST(ValidatorMemo, ShapeFilterRejectsAreNotMemoized) {
+  Fixture F("blas_gemv_ptr");
+  Validator V(*F.B, F.Examples, F.Constants);
+  // No 3-D argument; the LHS rank differs from the output's; the output
+  // symbol is read on the RHS with the wrong rank.
+  EXPECT_TRUE(V.validate(parse("a(i) = b(i,j,k) * c(j)")).empty());
+  EXPECT_TRUE(V.validate(parse("a(i,j) = b(i,j) * c(j)")).empty());
+  EXPECT_TRUE(V.validate(parse("a(i) = a(i,j) * c(j)")).empty());
+  EXPECT_EQ(V.instantiationsTried(), 0);
+  EXPECT_EQ(V.rejectedTemplates(), 0u);
+  EXPECT_TRUE(V.validate(parse("a(i) = b(i,j) + c(j)")).empty());
+  EXPECT_EQ(V.rejectedTemplates(), 1u);
+
+  // The first example is not square, so no matrix fits a diagonal access.
+  Fixture T("art_transpose");
+  Validator W(*T.B, T.Examples, T.Constants);
+  EXPECT_TRUE(W.validate(parse("a(i,j) = b(j,j) + c(i,j)")).empty());
+  EXPECT_EQ(W.instantiationsTried(), 0);
+  EXPECT_EQ(W.rejectedTemplates(), 0u);
+}
